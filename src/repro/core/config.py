@@ -97,10 +97,11 @@ class RuntimeConfig:
         priority exceeds the ceiling, per the paper's recommendation.
     segments:
         Enable the executor's segment compiler (see
-        :mod:`repro.sim.segments`).  Purely a host-speed feature --
-        simulated behaviour is bit-identical either way, which the
-        property tests assert.  The ``REPRO_SEGMENTS=0`` environment
-        variable force-disables it regardless of this flag.
+        :mod:`repro.sim.segments`), which replays certified hot loops.
+        Purely a host-speed feature -- simulated behaviour is
+        bit-identical either way, and ``False`` is the
+        forced-interpretation reference the equivalence property tests
+        compare against.
     """
 
     pool_size: int = 32

@@ -17,7 +17,6 @@ resumes whatever thread the dispatcher chose.
 
 from __future__ import annotations
 
-import os
 from types import GeneratorType
 from typing import Any, Callable, Dict, List, Optional, Union
 
@@ -151,13 +150,13 @@ class PthreadsRuntime:
         self._pt = PT(self)
 
         # Segment compiler (see repro.sim.segments): replays recorded
-        # straight-line op runs.  Dynamic preconditions (clock
-        # watchers, choice sources, traces, policies) are re-checked on
-        # every step, so the cache is constructed unconditionally
-        # unless configured off.
+        # hot loops.  Dynamic preconditions (clock watchers, choice
+        # sources, traces, policies) are re-checked on every step, so
+        # the cache is constructed unconditionally unless configured
+        # off.
         self._max_steps: Optional[int] = None
         self._until_cycles: Optional[int] = None
-        if self.config.segments and os.environ.get("REPRO_SEGMENTS") != "0":
+        if self.config.segments:
             from repro.sim.segments import SegmentSpace
 
             self._segments: Optional[SegmentSpace] = SegmentSpace(self)
@@ -584,8 +583,8 @@ class PthreadsRuntime:
         """Dispatch an op already obtained from the generator.
 
         The segment cache lands here when a replayed send yields an op
-        no compiled variant covers: the resume already happened, so
-        only the dispatch half of :meth:`_step_current` remains.
+        its compiled loop does not cover: the resume already happened,
+        so only the dispatch half of :meth:`_step_current` remains.
         """
         self.steps += 1
         clock = self.world.clock

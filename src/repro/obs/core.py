@@ -159,13 +159,12 @@ class Observability:
             # attribution stays per-spend exact (run ``report`` with
             # ``--no-profile`` to observe the cache at work).
             helps = {
-                "exec.segment.compiled": "straight-line segments compiled",
+                "exec.segment.compiled": "loop segments compiled",
                 "exec.segment.hits": "executor steps served by replay",
                 "exec.segment.misses": "replay attempts that fell back",
                 "exec.segment.steps_replayed": "ops retired via replay",
                 "exec.segment.cycles_replayed":
                     "virtual cycles charged in batches",
-                "exec.segment.invalidations": "segments discarded",
                 "exec.segment.recordings": "certification passes started",
                 "exec.segment.record_failures":
                     "certification passes abandoned",

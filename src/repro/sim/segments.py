@@ -1,13 +1,13 @@
-"""The executor's segment compiler: straight-line replay cache.
+"""The executor's segment compiler: hot-loop replay cache.
 
 The paper's performance argument is that the common path of every
 thread primitive is a short, predictable instruction sequence.  The
-executor exploits the same property at the *host* level: a straight-
-line run of ops between two interruption points is deterministic given
-a small set of guards (mutex ownership, empty waiter queues, no event
-due inside the window), so after interpreting it once the executor can
-*replay* it -- one compiled Python function per segment, one clock
-store per batch -- instead of re-dispatching every op through the
+executor exploits the same property at the *host* level: a loop body
+whose ops run between two interruption points is deterministic given a
+small set of guards (mutex ownership, empty waiter queues, no event due
+inside the window), so after interpreting one iteration the executor
+can *replay* the loop -- one compiled Python function per location, one
+clock store per batch -- instead of re-dispatching every op through the
 interpreter loop.
 
 Correctness model
@@ -27,18 +27,21 @@ captured by a closed-form template:
 - every mutated field (owner/cell/counters/held list) matches the
   template's effect list.
 
-Replay then re-applies exactly those effects, under guard checks that
-re-establish the recorded preconditions, while a *limit* derived from
-the event horizon guarantees no event becomes due inside the replayed
-window -- any rule that would fire mid-segment (timer expiry, watcher)
-either splits the segment at record time (the event fired while
-recording, so certification stopped there) or forces interpretation at
-replay time (the horizon bound fails, the step budget fails, or a
-clock watcher is attached).  Simulated time, ``Runtime.steps``,
-per-thread ``cpu_cycles`` and every library counter advance
-bit-identically to interpretation; the property tests in
-``tests/properties/test_prop_segment_equivalence.py`` assert digest
-equality against forced interpretation (``REPRO_SEGMENTS=0``).
+Only a certified run that closes back on the location it started at,
+and whose iteration restores every guarded field, compiles; anything
+else is a failed recording.  Replay then re-applies exactly those
+effects, under guard checks that re-establish the recorded
+preconditions, while a *limit* derived from the event horizon
+guarantees no event becomes due inside the replayed window -- any rule
+that would fire mid-loop (timer expiry, watcher) either ends the
+recording (the event fired while recording, so certification stopped
+there) or forces interpretation at replay time (the horizon bound
+fails, the step budget fails, or a clock watcher is attached).
+Simulated time, ``Runtime.steps``, per-thread ``cpu_cycles`` and every
+library counter advance bit-identically to interpretation; the property
+tests in ``tests/properties/test_prop_segment_equivalence.py`` assert
+digest equality against forced interpretation
+(``RuntimeConfig(segments=False)``).
 
 Bypass rules (checked before any replay or recording):
 
@@ -51,11 +54,10 @@ Bypass rules (checked before any replay or recording):
 - a scheduling policy, trace sink, or check context is attached;
 - the kernel/dispatcher flags are set or signals are deferred.
 
-Keying: segments are keyed by (generator code object, ``f_lasti``)
-with a small list of *variants* per location, because one code
-location may run against different library objects (each pipeline
-stage locks its own queue mutex).  Variants are matched by the first
-op's identity and kept in MRU order.
+Keying: a location is a (generator code object, ``f_lasti``) pair and
+is in one of three states: counting visits (an ``int``), compiled (a
+:class:`_Segment`), or :data:`_BLACKLISTED` after its one recording
+failed.
 """
 
 from __future__ import annotations
@@ -67,25 +69,18 @@ from repro.hw import costs
 from repro.sim.frames import ProgramCrash, SimException
 from repro.sim.ops import Invoke, LibCall, SysCall, Work
 
-#: Location states (``table[lasti]``) besides a variant list.
+#: Location state after a failed recording: never replayed or recorded.
 _BLACKLISTED = object()
 
-#: Visits to a location before a recording is attempted.
+#: Visits to a location before its recording is attempted.
 _RECORD_AFTER = 8
-#: Recording attempts per location before it is blacklisted.
-_MAX_FAILS = 3
-#: Maximum ops recorded into one segment (also bounds generated-code
+#: Maximum ops recorded into one loop body (also bounds generated-code
 #: size, and with it the one-time host cost of compiling a segment).
 _MAX_OPS = 16
 #: Minimum certified ops worth compiling.
 _MIN_OPS = 2
-#: Maximum compiled variants per location.
-_MAX_VARIANTS = 6
 #: Global cap on compiled segments per runtime.
 _MAX_SEGMENTS = 512
-#: First-op mismatches at a compiled location before a new variant is
-#: recorded from the in-hand op.
-_VARIANT_AFTER = 8
 
 #: Step budget / until sentinel: effectively unbounded.
 _NO_BOUND = 1 << 62
@@ -98,26 +93,6 @@ _SOURCE_CACHE: Dict[str, Any] = {}
 _SOURCE_CACHE_MAX = 4096
 
 
-class _LocState:
-    """Visit/fail counters for a not-yet-compiled location."""
-
-    __slots__ = ("visits", "fails")
-
-    def __init__(self) -> None:
-        self.visits = 0
-        self.fails = 0
-
-
-class _Variants(list):
-    """Compiled segments at one location, MRU first."""
-
-    __slots__ = ("mismatches",)
-
-    def __init__(self, items) -> None:
-        super().__init__(items)
-        self.mismatches = 0
-
-
 class _SegStep:
     """One certified op: identity, result, cycle constant, IR."""
 
@@ -125,23 +100,20 @@ class _SegStep:
 
     def __init__(self, op, result, cycles, guards, effects) -> None:
         self.op = op
-        self.result = result  # "none" | "zero" | "tcb"
+        self.result = result  # "none" | "zero"
         self.cycles = cycles
         self.guards = guards  # tuple of guard IR tuples
         self.effects = effects  # tuple of effect IR tuples
 
 
 class _Segment:
-    """A compiled segment: replay function plus metadata."""
+    """A compiled loop: replay function plus the op that starts it."""
 
-    __slots__ = ("fn", "first_op", "n_ops", "total_cycles", "loops")
+    __slots__ = ("fn", "first_op")
 
-    def __init__(self, fn, first_op, n_ops, total_cycles, loops) -> None:
+    def __init__(self, fn, first_op) -> None:
         self.fn = fn
         self.first_op = first_op
-        self.n_ops = n_ops
-        self.total_cycles = total_cycles
-        self.loops = loops
 
 
 class SegmentSpace:
@@ -166,7 +138,6 @@ class SegmentSpace:
             table[costs.ENTER_KERNEL] + table[costs.COND_SIGNAL_WORK]
             + table[costs.LEAVE_KERNEL]
         )
-        self._c_self = 2 * insn
         # exec.segment.* counters (harvested into BENCH_host.json and
         # ``python -m repro.obs report``).
         self.segments_compiled = 0
@@ -174,7 +145,6 @@ class SegmentSpace:
         self.misses = 0
         self.steps_replayed = 0
         self.cycles_replayed = 0
-        self.invalidations = 0
         self.recordings = 0
         self.record_failures = 0
 
@@ -188,7 +158,6 @@ class SegmentSpace:
             "exec.segment.misses": self.misses,
             "exec.segment.steps_replayed": self.steps_replayed,
             "exec.segment.cycles_replayed": self.cycles_replayed,
-            "exec.segment.invalidations": self.invalidations,
             "exec.segment.recordings": self.recordings,
             "exec.segment.record_failures": self.record_failures,
         }
@@ -211,7 +180,7 @@ class SegmentSpace:
         if table is None:
             by_code[gen.gi_code] = table = {}
         lasti = gi.f_lasti
-        entry = table.get(lasti)
+        entry = table.get(lasti, 0)
         if entry is _BLACKLISTED:
             return False
         rt = self.rt
@@ -235,21 +204,15 @@ class SegmentSpace:
             or tcb.pending_interrupt_frames
         ):
             return False
-        if type(entry) is _Variants:
-            return self._replay(tcb, frame, entry, table, lasti)
-        if entry is None:
-            table[lasti] = entry = _LocState()
-        entry.visits += 1
-        if entry.visits >= _RECORD_AFTER:
-            entry.visits = 0
-            if (
-                entry.fails >= _MAX_FAILS
-                or self.segments_compiled >= _MAX_SEGMENTS
-            ):
-                table[lasti] = _BLACKLISTED
-                return False
-            return self._record(tcb, frame, table, lasti, None)
-        return False
+        if type(entry) is _Segment:
+            return self._replay(tcb, frame, entry)
+        if entry + 1 < _RECORD_AFTER:
+            table[lasti] = entry + 1
+            return False
+        if self.segments_compiled >= _MAX_SEGMENTS:
+            table[lasti] = _BLACKLISTED
+            return False
+        return self._record(tcb, frame, table, lasti)
 
     # -- replay ------------------------------------------------------------
 
@@ -263,29 +226,18 @@ class SegmentSpace:
         budget = _NO_BOUND if max_steps is None else max_steps - rt.steps
         return limit, until, budget
 
-    def _replay(self, tcb, frame, variants, table, lasti) -> bool:
+    def _replay(self, tcb, frame, seg) -> bool:
         rt = self.rt
         clock = rt.world.clock
         limit, until, budget = self._bounds()
         value = frame.pending_value
         frame.pending_value = None
+        fn = seg.fn
         op = None
         total = 0
-        scan = 0
         while True:
-            seg = None
-            i = scan
-            n_var = len(variants)
-            while i < n_var:
-                cand = variants[i]
-                if op is None or cand.first_op is op:
-                    seg = cand
-                    break
-                i += 1
-            if seg is None:
-                break
             t_before = clock.cycles
-            code, n, t, val, op = seg.fn(
+            code, n, t, val, op = fn(
                 rt, tcb, frame, value, limit, until, budget, op
             )
             if n:
@@ -296,69 +248,42 @@ class SegmentSpace:
                 total += n
                 if budget is not _NO_BOUND:
                     budget -= n
-                if i:
-                    variants.insert(0, variants.pop(i))
-                scan = 0
-            else:
-                scan = i + 1
-            if code == 0:
-                if op is None:
-                    frame.pending_value = val
-                    if total:
-                        self.hits += 1
-                        self.steps_replayed += total
-                        return True
-                    return False
-                value = None
-                continue
-            # Terminal resume outcomes: mirror _step_current exactly.
-            if total:
-                self.hits += 1
-                self.steps_replayed += total
-            rt.steps += 1
-            started = clock.cycles
-            if code == 2:
-                rt._frame_returned(tcb, frame, val)
-                tcb.cpu_cycles += clock.cycles - started
-                return True
-            if code == 3:
-                rt._frame_raised(tcb, frame, val)
-                tcb.cpu_cycles += clock.cycles - started
-                return True
-            if code == 4:
-                raise val
-            raise ProgramCrash(frame.name, val) from val
-        if op is not None:
-            # No variant takes the in-hand op: interpret it here (the
-            # send already happened).  Repeated mismatches grow a new
-            # variant recorded from the in-hand op.
-            self.misses += 1
-            if total:
-                self.hits += 1
-                self.steps_replayed += total
-            variants.mismatches += 1
-            if (
-                variants.mismatches >= _VARIANT_AFTER
-                and len(variants) < _MAX_VARIANTS
-                and self.segments_compiled < _MAX_SEGMENTS
-            ):
-                variants.mismatches = 0
-                return self._record(tcb, frame, table, lasti, op)
-            rt._dispatch_op(tcb, frame, op)
-            return True
-        frame.pending_value = value
+            if code or op is None or not n or op is not seg.first_op:
+                break
+            value = None  # the loop exited at its first op: re-enter
         if total:
             self.hits += 1
             self.steps_replayed += total
+        if not code:
+            if op is None:
+                frame.pending_value = val
+                return bool(total)
+            # The loop left through an op it does not cover: interpret
+            # that op here (the send already happened).
+            self.misses += 1
+            rt._dispatch_op(tcb, frame, op)
             return True
-        self.misses += 1
-        return False
+        # Terminal resume outcomes: mirror _step_current exactly.
+        rt.steps += 1
+        started = clock.cycles
+        if code == 2:
+            rt._frame_returned(tcb, frame, val)
+            tcb.cpu_cycles += clock.cycles - started
+            return True
+        if code == 3:
+            rt._frame_raised(tcb, frame, val)
+            tcb.cpu_cycles += clock.cycles - started
+            return True
+        if code == 4:
+            raise val
+        raise ProgramCrash(frame.name, val) from val
 
     # -- recording ---------------------------------------------------------
 
-    def _record(self, tcb, frame, table, lasti, inhand) -> bool:
+    def _record(self, tcb, frame, table, lasti) -> bool:
         """Interpret ops (through the normal runtime entry points),
-        certifying each; compile the certified run into a segment.
+        certifying each; compile the certified run if it closes into a
+        loop, else blacklist the location.
 
         The steps are *performed* regardless of whether certification
         succeeds, so this is always a complete executor step (or
@@ -372,8 +297,6 @@ class SegmentSpace:
         kern = rt.kern
         frames = tcb.frames._frames
         steps: List[_SegStep] = []
-        closed = False
-        op = inhand
         while len(steps) < _MAX_OPS:
             pre_clock = clock.cycles
             pre_seq = events._seq
@@ -381,23 +304,22 @@ class SegmentSpace:
             pre_enters = kern.enters
             pre_dispatch = rt.dispatcher.dispatch_calls
             rt.steps += 1
-            if op is None:
-                try:
-                    value = frame.pending_value
-                    frame.pending_value = None
-                    op = frame.gen.send(value)
-                except StopIteration as stop:
-                    rt._frame_returned(tcb, frame, stop.value)
-                    tcb.cpu_cycles += clock.cycles - pre_clock
-                    break
-                except SimException as exc:
-                    rt._frame_raised(tcb, frame, exc)
-                    tcb.cpu_cycles += clock.cycles - pre_clock
-                    break
-                except ProgramCrash:
-                    raise
-                except BaseException as crash:  # noqa: BLE001
-                    raise ProgramCrash(frame.name, crash) from crash
+            try:
+                value = frame.pending_value
+                frame.pending_value = None
+                op = frame.gen.send(value)
+            except StopIteration as stop:
+                rt._frame_returned(tcb, frame, stop.value)
+                tcb.cpu_cycles += clock.cycles - pre_clock
+                break
+            except SimException as exc:
+                rt._frame_raised(tcb, frame, exc)
+                tcb.cpu_cycles += clock.cycles - pre_clock
+                break
+            except ProgramCrash:
+                raise
+            except BaseException as crash:  # noqa: BLE001
+                raise ProgramCrash(frame.name, crash) from crash
             op_class = op.__class__
             if op_class is Work:
                 frame.remaining_work = op.cycles
@@ -418,8 +340,6 @@ class SegmentSpace:
                 raise ProgramCrash(
                     frame.name, TypeError("bad op yielded: %r" % (op,))
                 )
-            done = op
-            op = None
             if (
                 rt.current is not tcb
                 or not frames
@@ -431,7 +351,7 @@ class SegmentSpace:
             ):
                 break
             step = self._certify(
-                tcb, frame, done,
+                tcb, frame, op,
                 pre_clock, pre_seq, pre_live, pre_enters, pre_dispatch,
             )
             if step is None:
@@ -439,23 +359,13 @@ class SegmentSpace:
             steps.append(step)
             gi = frame.gen.gi_frame
             if gi is not None and gi.f_lasti == lasti:
-                closed = True
+                seg = self._compile(steps) if len(steps) >= _MIN_OPS else None
+                if seg is not None:
+                    table[lasti] = seg
+                    self.segments_compiled += 1
+                    return True
                 break
-        if len(steps) >= _MIN_OPS:
-            seg = self._compile(steps, closed)
-            if seg is not None:
-                entry = table.get(lasti)
-                if type(entry) is _Variants:
-                    entry.insert(0, seg)
-                else:
-                    table[lasti] = _Variants([seg])
-                self.segments_compiled += 1
-                return True
-        entry = table.get(lasti)
-        if type(entry) is _LocState:
-            entry.fails += 1
-            if entry.fails >= _MAX_FAILS:
-                table[lasti] = _BLACKLISTED
+        table[lasti] = _BLACKLISTED
         self.record_failures += 1
         return True
 
@@ -568,31 +478,23 @@ class SegmentSpace:
                     ("inc", c, "signals_sent", 1),
                 ),
             )
-        if name == "self":
-            if getattr(rt._pt, "_seg_self_op", None) is not op:
-                return None
-            if (
-                result is not tcb
-                or rt.kern.enters != pre_enters
-                or delta != self._c_self
-            ):
-                return None
-            return _SegStep(op, "tcb", delta, (), ())
         return None
 
     # -- compilation -------------------------------------------------------
 
-    def _compile(self, steps: List[_SegStep], closed: bool):
-        """Generate and exec the replay function for a certified run.
+    def _compile(self, steps: List[_SegStep]) -> Optional[_Segment]:
+        """Generate and exec the replay function for a certified loop.
+
+        Returns None when one iteration does not restore every guarded
+        field (the guards could then not hoist out of the loop).
 
         The generated code keeps no per-op bookkeeping: every exit site
         (op mismatch, exception, clean stop) statically knows how many
         ops completed and how many cycles they cost, so the hot loop is
-        just sends, identity checks, and -- for loop segments -- one
-        add per iteration.  Loop segments whose per-iteration effects
-        net-restore every guarded field defer all effect application:
-        counters are applied once at exit (``delta * iterations``) and
-        mid-iteration exits carry statically-known fix-up assignments.
+        just sends, identity checks, and one add per iteration.  All
+        effect application is deferred: counters are applied once at
+        exit (``delta * iterations``) and mid-iteration exits carry
+        statically-known fix-up assignments.
         """
         env_names: Dict[int, str] = {}
         env_objs: List[Any] = []
@@ -607,10 +509,10 @@ class SegmentSpace:
 
         n_ops = len(steps)
         total = sum(s.cycles for s in steps)
-        lit = {"none": "None", "zero": "0", "tcb": "tcb"}
+        lit = {"none": "None", "zero": "0"}
 
         # Pass 1: entry guards, symbolic state, aggregated effects, and
-        # a per-site snapshot of the prefix state (for loop fix-ups).
+        # a per-site snapshot of the prefix state (for exit fix-ups).
         entry_guards: List[str] = []
         guard_expect: Dict[Tuple[str, str], Any] = {}
         sym: Dict[Tuple[str, str], Any] = {}
@@ -622,7 +524,6 @@ class SegmentSpace:
         prefix_cycles: List[int] = []
         snapshots = []
         op_refs: List[str] = []
-        effect_lines: List[List[str]] = []
         cycles_so_far = 0
 
         for step in steps:
@@ -649,11 +550,10 @@ class SegmentSpace:
                     return None
                 if var in sym:
                     if sym[var] != expect:
-                        return None  # guard cannot hold mid-segment
+                        return None  # guard cannot hold mid-iteration
                 elif var not in guard_expect:
                     guard_expect[var] = expect
                     entry_guards.append(expr)
-            lines: List[str] = []
             for e in step.effects:
                 kind, obj = e[0], e[1]
                 nm = ref(obj)
@@ -661,51 +561,39 @@ class SegmentSpace:
                     uses_held = True
                     held_now.append(("append", nm))
                     held_balance[nm] = held_balance.get(nm, 0) + 1
-                    lines.append("held.append(%s)" % nm)
                     continue
                 if kind == "held_remove":
                     uses_held = True
                     held_now.append(("remove", nm))
                     held_balance[nm] = held_balance.get(nm, 0) - 1
-                    lines.append("held.remove(%s)" % nm)
                     continue
-                attr = e[2]
-                var = (nm, attr)
+                var = (nm, e[2])
                 if kind == "inc":
                     counter_now[var] = counter_now.get(var, 0) + e[3]
                     sym[var] = "opaque"
-                    lines.append("%s.%s += %r" % (nm, attr, e[3]))
                 elif kind == "set_const":
                     state_now[var] = e[3]
                     sym[var] = e[3]
-                    lines.append("%s.%s = %r" % (nm, attr, e[3]))
                 elif kind == "set_tcb":
                     state_now[var] = "tcb"
                     sym[var] = "tcb"
-                    lines.append("%s.%s = tcb" % (nm, attr))
                 elif kind == "set_none":
                     state_now[var] = "none"
                     sym[var] = "none"
-                    lines.append("%s.%s = None" % (nm, attr))
                 else:  # pragma: no cover - unknown effect kind
                     return None
-            effect_lines.append(lines)
             cycles_so_far += step.cycles
 
-        # A closed run compiles to a loop only when every guarded field
-        # is provably restored by one full iteration (then guards hoist
-        # out of the loop and effects defer to the exits).
-        loops = closed
-        if loops:
-            for var, expect in guard_expect.items():
-                final = sym.get(var)
-                if final is not None and final != expect:
-                    loops = False
-                    break
-            if any(held_balance.values()):
-                loops = False
-            if set(counter_now) & set(state_now):
-                loops = False
+        # The guards hoist out of the loop only when one full iteration
+        # provably restores every guarded field.
+        for var, expect in guard_expect.items():
+            final = sym.get(var)
+            if final is not None and final != expect:
+                return None
+        if any(held_balance.values()):
+            return None
+        if set(counter_now) & set(state_now):
+            return None
 
         out: List[Tuple[int, str]] = []
 
@@ -721,8 +609,6 @@ class SegmentSpace:
 
         def fixup(indent: int, i: int) -> None:
             """State/counter/held repair for 'i ops completed'."""
-            if not loops:
-                return  # linear mode applies effects inline
             state, cnt, held_ops = snapshots[i]
             for (nm, attr), tok in state.items():
                 emit(indent, "%s.%s = %s" % (nm, attr, render_tok(tok)))
@@ -746,16 +632,12 @@ class SegmentSpace:
                     emit(indent, "%s.%s += %d * it" % (nm, attr, full))
 
         def n_expr(i: int) -> str:
-            if loops:
-                if i:
-                    return "%d * it + %d" % (n_ops, i)
-                return "%d * it" % n_ops
-            return "%d" % i
+            if i:
+                return "%d * it + %d" % (n_ops, i)
+            return "%d * it" % n_ops
 
         def t_expr(i: int) -> str:
             p = prefix_cycles[i]
-            if loops:
-                return "t + %d" % p if p else "t"
             return "t + %d" % p if p else "t"
 
         def classify(indent: int, i: int) -> None:
@@ -773,7 +655,7 @@ class SegmentSpace:
             # The generator body runs inside each send and may read
             # ``world.now``: publish the exact interpreted clock (the
             # charge of every completed op) before resuming it, or
-            # mid-segment time observations would see a stale clock.
+            # mid-iteration time observations would see a stale clock.
             if i == 0:
                 emit(indent, "if op is None:")
                 emit(indent + 1, "ck.cycles = t")
@@ -794,9 +676,6 @@ class SegmentSpace:
                 indent + 1,
                 "return (0, %s, %s, None, op)" % (n_expr(i), t_expr(i)),
             )
-            if not loops:
-                for line in effect_lines[i]:
-                    emit(indent, line)
 
         emit(0, "def _make(env):")
         if env_objs:
@@ -814,50 +693,32 @@ class SegmentSpace:
         if entry_guards:
             emit(2, "if not (%s):" % " and ".join(entry_guards))
             emit(3, "return (0, 0, t, value, op)")
-        if loops:
-            emit(2, "k = budget // %d" % n_ops)
-            emit(2, "if limit is not None:")
-            emit(3, "k2 = (limit - t - 1) // %d" % total)
-            emit(3, "if k2 < k:")
-            emit(4, "k = k2")
-            emit(2, "if until != %d:" % _NO_BOUND)
-            emit(3, "k2 = (until - t - 1) // %d" % total)
-            emit(3, "if k2 < k:")
-            emit(4, "k = k2")
-            emit(2, "if k <= 0:")
-            emit(3, "return (0, 0, t, value, op)")
-        else:
-            emit(
-                2,
-                "if %d > budget or (limit is not None and t + %d >= limit)"
-                " or (until != %d and t + %d >= until):"
-                % (n_ops, total, _NO_BOUND, total),
-            )
-            emit(3, "return (0, 0, t, value, op)")
+        emit(2, "k = budget // %d" % n_ops)
+        emit(2, "if limit is not None:")
+        emit(3, "k2 = (limit - t - 1) // %d" % total)
+        emit(3, "if k2 < k:")
+        emit(4, "k = k2")
+        emit(2, "if until != %d:" % _NO_BOUND)
+        emit(3, "k2 = (until - t - 1) // %d" % total)
+        emit(3, "if k2 < k:")
+        emit(4, "k = k2")
+        emit(2, "if k <= 0:")
+        emit(3, "return (0, 0, t, value, op)")
         emit(2, "send = frame.gen.send")
         if uses_held:
             emit(2, "held = tcb.held_mutexes")
-        if loops:
-            emit(2, "it = 0")
-            emit(2, "while it < k:")
-            for i in range(n_ops):
-                op_block(3, i)
-            emit(3, "value = %s" % lit[steps[-1].result])
-            emit(3, "op = None")
-            emit(3, "t += %d" % total)
-            emit(3, "it += 1")
-            for (nm, attr), full in counter_now.items():
-                if full:
-                    emit(2, "%s.%s += %d * it" % (nm, attr, full))
-            emit(2, "return (0, %d * it, t, value, None)" % n_ops)
-        else:
-            for i in range(n_ops):
-                op_block(2, i)
-            emit(
-                2,
-                "return (0, %d, t + %d, %s, None)"
-                % (n_ops, total, lit[steps[-1].result]),
-            )
+        emit(2, "it = 0")
+        emit(2, "while it < k:")
+        for i in range(n_ops):
+            op_block(3, i)
+        emit(3, "value = %s" % lit[steps[-1].result])
+        emit(3, "op = None")
+        emit(3, "t += %d" % total)
+        emit(3, "it += 1")
+        for (nm, attr), full in counter_now.items():
+            if full:
+                emit(2, "%s.%s += %d * it" % (nm, attr, full))
+        emit(2, "return (0, %d * it, t, value, None)" % n_ops)
         emit(1, "return _replay")
 
         code = "\n".join("    " * ind + text for ind, text in out) + "\n"
@@ -884,4 +745,4 @@ class SegmentSpace:
                 _SOURCE_CACHE[code] = code_obj
         exec(code_obj, namespace)  # noqa: S102
         fn = namespace["_make"](tuple(env_objs))
-        return _Segment(fn, steps[0].op, n_ops, total, loops)
+        return _Segment(fn, steps[0].op)

@@ -2,12 +2,12 @@
 interpretation.
 
 The segment compiler (:mod:`repro.sim.segments`) replays recorded
-straight-line op runs as batched clock spends.  Its contract is that a
-run with the cache enabled is *observably indistinguishable* from one
-with the cache disabled (``RuntimeConfig(segments=False)``, the same
-switch ``REPRO_SEGMENTS=0`` flips): same state digest, same simulated
-clock, same step count, same context switches -- and the same clock
-value at every point a generator body happens to read ``world.now``.
+hot loops as batched clock spends.  Its contract is that a run with the
+cache enabled is *observably indistinguishable* from one with the cache
+disabled (``RuntimeConfig(segments=False)``): same state digest, same
+simulated clock, same step count, same context switches -- and the same
+clock value at every point a generator body happens to read
+``world.now``.
 
 Hypothesis drives random workload shapes and scheduling parameters;
 two deterministic regression tests pin down specific historical bugs:
@@ -18,9 +18,15 @@ two deterministic regression tests pin down specific historical bugs:
 - a timer expiring inside a formerly-straight-line run must fire at
   the exact interpreted cycle (replay refuses windows that reach the
   event horizon and falls back to interpretation).
+
+The never-negative tests pin the cost side: a workload whose hot loops
+compile records each of them once, and a location that cannot compile
+is recorded once and then left to the interpreter.
 """
 
 from __future__ import annotations
+
+import functools
 
 from hypothesis import given, settings, strategies as st
 
@@ -31,6 +37,8 @@ from repro.bench.workloads import (
     signal_storm,
 )
 from repro.core.attr import ThreadAttr
+from repro.core.config import RuntimeConfig
+from repro.sim.segments import _BLACKLISTED
 from tests.conftest import make_runtime
 
 
@@ -191,14 +199,39 @@ def test_timer_expiry_inside_formerly_straight_line_run():
     assert _fingerprint(on) == _fingerprint(off)
 
 
+def test_pipeline_records_only_loops_that_compile():
+    """Never negative: every pipeline stage's hot loop compiles on its
+    one recording, and the ops a loop does not cover are interpreted
+    without recording a new variant."""
+    on = _run(pipeline(stages=4, items=100), segments=True)
+    seg = on._segments
+    assert seg.steps_replayed > 0
+    assert seg.record_failures == 0
+
+
+def test_uncompilable_locations_fail_once():
+    """Never negative: a location whose recording fails is blacklisted
+    on the spot, so signal_storm (which compiles nothing) pays one
+    failed recording per location it visits often enough to record."""
+    on = _run(signal_storm(victims=2, rounds=50), segments=True, priority=50)
+    seg = on._segments
+    blacklisted = sum(
+        entry is _BLACKLISTED
+        for table in seg._by_code.values()
+        for entry in table.values()
+    )
+    assert blacklisted > 0
+    assert seg.record_failures == blacklisted
+
+
 def test_dfs_exploration_identical_with_segments_disabled(monkeypatch):
     """repro.check must see every choice point: segments bypass when a
     choice source / scheduling policy is attached, so DFS reports are
     byte-identical with the cache compiled in or configured out."""
-    from repro.check.explore import Explorer
+    from repro.check import explore as explore_mod
 
     def explore():
-        return Explorer(
+        return explore_mod.Explorer(
             lambda: lock_storm(threads=3, iterations=3),
             priority=100,
             max_depth=40,
@@ -206,7 +239,11 @@ def test_dfs_exploration_identical_with_segments_disabled(monkeypatch):
         ).explore_dfs(max_runs=8)
 
     with_cache = explore()
-    monkeypatch.setenv("REPRO_SEGMENTS", "0")
+    monkeypatch.setattr(
+        explore_mod,
+        "RuntimeConfig",
+        functools.partial(RuntimeConfig, segments=False),
+    )
     without_cache = explore()
     assert with_cache == without_cache
     assert with_cache.render() == without_cache.render()
