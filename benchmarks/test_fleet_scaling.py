@@ -6,9 +6,9 @@ Marked ``fleet`` (excluded from tier-1; run directly)::
 
 The sweep itself lives in :func:`repro.bench.suites.run_fleet` (shared
 with ``python -m repro.bench run --suite fleet``); this module runs
-it, persists the legacy ``BENCH_fleet.json`` payload plus the
-normalized schema records (``bench-records/fleet.json``, the artifact
-CI uploads and gates on), and asserts the scaling shapes.  Two sweeps:
+it, persists its schema records (``bench-records/fleet.json``, the
+artifact CI uploads and gates on), and asserts the scaling shapes.
+Two sweeps:
 
 - **DFS exploration** of a deep workload (``signal_storm`` at scale 8:
   trail ~1600 choice points spread across the whole run).  The speedup
@@ -29,20 +29,17 @@ worthless.
 
 from __future__ import annotations
 
-import json
 import os
 from pathlib import Path
 
 import pytest
 
-from repro.bench.adapters import fleet_suite_result
+from repro.bench.schema import SuiteResult
 from repro.bench.suites import run_fleet
 
 pytestmark = pytest.mark.fleet
 
-ROOT = Path(__file__).resolve().parent.parent
-OUTPUT = ROOT / "BENCH_fleet.json"
-RECORDS = ROOT / "bench-records" / "fleet.json"
+RECORDS = Path(__file__).resolve().parent.parent / "bench-records" / "fleet.json"
 
 CORES = os.cpu_count() or 1
 
@@ -51,49 +48,51 @@ def test_fleet_scaling_writes_bench_json():
     if not hasattr(os, "fork"):  # pragma: no cover - POSIX-only repo
         pytest.skip("fleet benchmarks need fork")
 
-    payload = run_fleet(max_runs=40, rounds=800, grid=True, grid_repeat=3)
-    dfs = payload["dfs"]
-    grid = payload["compare_grid"]
+    result = run_fleet(max_runs=40, rounds=800, grid=True, grid_repeat=3)
+
+    def dfs(metric, **params):
+        return result.value("dfs", metric, **params)
+
+    def grid(metric):
+        return result.value("compare_grid", metric)
 
     # Determinism before speed: snapshot and parallel runs are the
     # same exploration as sequential, byte for byte.
-    assert dfs["reports_identical"]
-    assert grid["reports_identical"]
+    assert dfs("reports_identical") == 1
+    assert grid("reports_identical") == 1
 
     # Snapshots must save real simulated work, not just wall clock.
-    for phase in ("snapshot_fleet", "jobs4_fleet"):
-        assert dfs[phase]["snapshot_hits"] > 0
-        assert dfs[phase]["steps_executed"] < dfs[phase]["steps_full"]
+    for phase in ("snapshot", "jobs4"):
+        assert dfs("snapshot_hits", phase=phase) > 0
+        assert (
+            dfs("steps_executed", phase=phase) < dfs("steps_full", phase=phase)
+        )
     assert (
-        dfs["sequential_fleet"]["steps_executed"]
-        == dfs["sequential_fleet"]["steps_full"]
+        dfs("steps_executed", phase="sequential")
+        == dfs("steps_full", phase="sequential")
     )
 
-    assert dfs["speedup_jobs4"] >= 2.0, (
+    assert dfs("speedup_jobs4") >= 2.0, (
         "DFS jobs=4 speedup %.2fx < 2x (seq %.2fs, par %.2fs)"
-        % (dfs["speedup_jobs4"], dfs["sequential_s"], dfs["jobs4_s"])
+        % (dfs("speedup_jobs4"), dfs("sequential_s"), dfs("jobs4_s"))
     )
 
     if CORES >= 4:
         # Fan-out gain needs cores to fan out onto.
-        assert grid["speedup_jobs4"] >= 2.0, (
+        assert grid("speedup_jobs4") >= 2.0, (
             "grid jobs=4 speedup %.2fx < 2x on %d cores"
-            % (grid["speedup_jobs4"], CORES)
+            % (grid("speedup_jobs4"), CORES)
         )
     else:
         # With fewer cores than jobs the pool caps itself (down to the
         # in-process loop on one core), so the parallel request must
         # cost no more than sequential plus measurement jitter.
-        assert grid["jobs4_s"] < grid["sequential_s"] * 1.15
+        assert grid("jobs4_s") < grid("sequential_s") * 1.15
 
-    OUTPUT.write_text(json.dumps(payload, indent=2) + "\n")
-    fleet_suite_result(payload).save(RECORDS)
-
-    from repro.bench.schema import SuiteResult
-
-    result = SuiteResult.load(RECORDS)
-    assert result.suite == "fleet"
-    by_metric = {(r.workload, r.metric): r for r in result.records
-                 if not r.params or "phase" not in r.params}
-    assert by_metric[("dfs", "reports_identical")].value == 1
-    assert by_metric[("dfs", "schedules_explored")].direction == "exact"
+    result.save(RECORDS)
+    saved = SuiteResult.load(RECORDS)
+    assert saved.suite == "fleet"
+    assert saved.records == result.records
+    (explored,) = [r for r in saved.records
+                   if r.workload == "dfs" and r.metric == "schedules_explored"]
+    assert explored.direction == "exact"

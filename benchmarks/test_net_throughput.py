@@ -1,4 +1,4 @@
-"""Server-architecture load sweeps: writes ``BENCH_net.json``.
+"""Server-architecture load sweeps: writes ``bench-records/net.json``.
 
 Marked ``net`` (excluded from tier-1; run directly)::
 
@@ -6,9 +6,8 @@ Marked ``net`` (excluded from tier-1; run directly)::
 
 The sweep itself lives in :func:`repro.bench.suites.run_net` (shared
 with ``python -m repro.bench run --suite net``); this module runs it,
-persists the legacy payload plus the normalized schema records
-(``bench-records/net.json``, the artifact CI uploads and gates on),
-and asserts the architecture shapes.
+persists its schema records (``bench-records/net.json``, the artifact
+CI uploads and gates on), and asserts the architecture shapes.
 
 One virtual CPU serves an open-loop Poisson request stream at three
 offered loads; every number is virtual-time and bit-deterministic.
@@ -43,13 +42,12 @@ Shape assertions (the acceptance bar for this subsystem):
 
 from __future__ import annotations
 
-import json
 import os
 from pathlib import Path
 
 import pytest
 
-from repro.bench.adapters import net_suite_result
+from repro.bench.schema import SuiteResult
 from repro.bench.suites import (
     NET_ARCHS as ARCHS,
     NET_CLIENT_SWEEP as CLIENT_SWEEP,
@@ -62,51 +60,53 @@ from repro.bench.suites import (
 
 pytestmark = pytest.mark.net
 
-ROOT = Path(__file__).resolve().parent.parent
-OUTPUT = ROOT / "BENCH_net.json"
-RECORDS = ROOT / "bench-records" / "net.json"
+RECORDS = Path(__file__).resolve().parent.parent / "bench-records" / "net.json"
+TOP = CLIENT_SWEEP[-1]
 
 
 @pytest.fixture(scope="module")
 def sweep():
-    """The full grid, computed once and persisted (legacy + schema)."""
-    payload = run_net()
-    with OUTPUT.open("w") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
-    net_suite_result(payload).save(RECORDS)
-    return payload
+    """The full grid, computed once and persisted as schema records."""
+    result = run_net()
+    result.save(RECORDS)
+    return result
 
 
-def _by(rows, arch, clients):
-    (row,) = [
-        r for r in rows if r["arch"] == arch and r["clients"] == clients
-    ]
-    return row
+def cold(sweep, arch, clients, metric):
+    return sweep.value(arch, metric, clients=clients, pool_size=0,
+                       sweep="cold")
+
+
+def warm(sweep, arch, metric):
+    return sweep.value(arch, metric, clients=TOP,
+                       pool_size=sweep.config["cache_pool_size"],
+                       sweep="warm")
+
+
+def sf_row(sweep, sf, arch, metric):
+    return sweep.value(arch, metric, sf=sf,
+                       clients=NET_SF_FIXTURES[sf]["clients"], sweep="sf")
 
 
 def test_pool_doubles_perconn_throughput_at_saturation(sweep):
-    top = CLIENT_SWEEP[-1]
-    pool = _by(sweep["results"], "pool", top)
-    perconn = _by(sweep["results"], "perconn", top)
-    ratio = pool["throughput_rps"] / perconn["throughput_rps"]
+    pool = cold(sweep, "pool", TOP, "throughput_rps")
+    perconn = cold(sweep, "perconn", TOP, "throughput_rps")
+    ratio = pool / perconn
     assert ratio >= 2.0, (
         "pool %.1f rps vs perconn %.1f rps (ratio %.2f)"
-        % (pool["throughput_rps"], perconn["throughput_rps"], ratio)
+        % (pool, perconn, ratio)
     )
 
 
 def test_select_dispatcher_has_the_best_accept_latency(sweep):
-    top = CLIENT_SWEEP[-1]
-    rows = {a: _by(sweep["results"], a, top) for a in ARCHS}
     for other in ("perconn", "pool"):
         assert (
-            rows["select"]["accept_wait_p99_us"]
-            < rows[other]["accept_wait_p99_us"]
+            cold(sweep, "select", TOP, "accept_wait_p99_us")
+            < cold(sweep, other, TOP, "accept_wait_p99_us")
         ), "select should accept fastest at p99 (vs %s)" % other
         assert (
-            rows["select"]["accept_wait_p50_us"]
-            <= rows[other]["accept_wait_p50_us"]
+            cold(sweep, "select", TOP, "accept_wait_p50_us")
+            <= cold(sweep, other, TOP, "accept_wait_p50_us")
         )
 
 
@@ -115,14 +115,14 @@ def test_create_cache_narrows_the_architecture_gap(sweep):
     claim: perconn's per-connection thread create gets cheap, so the
     pool's advantage shrinks (but does not vanish -- syscalls and
     context switches still favour long-lived workers)."""
-    top = CLIENT_SWEEP[-1]
     cold_ratio = (
-        _by(sweep["results"], "pool", top)["throughput_rps"]
-        / _by(sweep["results"], "perconn", top)["throughput_rps"]
+        cold(sweep, "pool", TOP, "throughput_rps")
+        / cold(sweep, "perconn", TOP, "throughput_rps")
     )
-    warm_pool = _by(sweep["cache_on_results"], "pool", top)
-    warm_perconn = _by(sweep["cache_on_results"], "perconn", top)
-    warm_ratio = warm_pool["throughput_rps"] / warm_perconn["throughput_rps"]
+    warm_ratio = (
+        warm(sweep, "pool", "throughput_rps")
+        / warm(sweep, "perconn", "throughput_rps")
+    )
     assert warm_ratio < cold_ratio
     assert warm_ratio > 1.0
 
@@ -132,51 +132,54 @@ def test_the_crossover_short_lived_connections_favour_select(sweep):
     overhead (it never amortizes), so select wins the open-loop sweep
     at every offered load."""
     for clients in CLIENT_SWEEP:
-        select = _by(sweep["results"], "select", clients)
-        epoll = _by(sweep["results"], "epoll", clients)
-        assert select["throughput_rps"] > epoll["throughput_rps"], clients
-
-
-def _sf_row(sweep, sf, arch):
-    (row,) = [
-        r for r in sweep["sf_results"]
-        if r["sf"] == sf and r["arch"] == arch
-    ]
-    return row
+        select = cold(sweep, "select", clients, "throughput_rps")
+        epoll = cold(sweep, "epoll", clients, "throughput_rps")
+        assert select > epoll, clients
 
 
 def test_the_crossover_longlived_concurrency_favours_epoll(sweep):
     """sf1: 1000 clients stay connected for eight request rounds; the
     watched set is large and mostly idle, select's O(n) scan stops
     amortizing, and the one-time registration cost pays for itself."""
-    select = _sf_row(sweep, "sf1", "select")
-    epoll = _sf_row(sweep, "sf1", "epoll")
-    assert epoll["throughput_rps"] >= select["throughput_rps"]
-    assert epoll["latency_p50_us"] < select["latency_p50_us"]
-    assert epoll["latency_p99_us"] < select["latency_p99_us"]
+
+    def sf1(arch, metric):
+        return sf_row(sweep, "sf1", arch, metric)
+
+    assert sf1("epoll", "throughput_rps") >= sf1("select", "throughput_rps")
+    assert sf1("epoll", "latency_p50_us") < sf1("select", "latency_p50_us")
+    assert sf1("epoll", "latency_p99_us") < sf1("select", "latency_p99_us")
 
 
 def test_sf_rows_hold_the_full_fleet_concurrently(sweep):
     for name in NET_SF_DEFAULT:
-        for arch in NET_SF_FIXTURES[name]["archs"]:
-            row = _sf_row(sweep, name, arch)
-            assert row["peak_clients"] == row["clients"]
-            assert (
-                row["replies"]
-                == row["clients"] * row["requests_per_client"]
+        fixture = NET_SF_FIXTURES[name]
+        for arch in fixture["archs"]:
+            assert sf_row(sweep, name, arch, "peak_clients") == (
+                fixture["clients"]
+            )
+            assert sf_row(sweep, name, arch, "replies") == (
+                fixture["clients"] * fixture["requests_per_client"]
             )
 
 
 def test_sweep_is_deterministic(sweep):
-    """Re-running one grid point reproduces its row bit-for-bit."""
-    again = run_net_point("pool", CLIENT_SWEEP[0], pool_size=0)
-    assert again == _by(sweep["results"], "pool", CLIENT_SWEEP[0])
+    """Re-running one grid point reproduces its records bit-for-bit."""
+    again = SuiteResult(suite="net")
+    run_net_point(again, "pool", CLIENT_SWEEP[0], pool_size=0)
+    cell = {"clients": CLIENT_SWEEP[0], "pool_size": 0, "sweep": "cold"}
+    assert again.records == [
+        r for r in sweep.records if r.workload == "pool" and r.params == cell
+    ]
 
 
 def test_output_file_is_valid_json(sweep):
-    on_disk = json.loads(OUTPUT.read_text())
-    assert on_disk["results"] == sweep["results"]
-    assert len(on_disk["results"]) == len(ARCHS) * len(CLIENT_SWEEP)
+    on_disk = SuiteResult.load(RECORDS)
+    assert on_disk.records == sweep.records
+    cold_cells = {
+        (r.workload, r.params["clients"]) for r in on_disk.records
+        if r.params["sweep"] == "cold"
+    }
+    assert len(cold_cells) == len(ARCHS) * len(CLIENT_SWEEP)
 
 
 @pytest.mark.skipif(
@@ -186,15 +189,14 @@ def test_output_file_is_valid_json(sweep):
 def test_sf100_holds_a_hundred_thousand_clients_concurrently():
     """The headline scale point: one epoll dispatcher thread owning
     10^5 concurrently connected clients, every request answered."""
-    row = run_sf_point("sf100", "epoll")
-    assert row["peak_clients"] == 100_000
-    assert row["replies"] == 200_000
-    assert row["throughput_rps"] > 0
+    result = SuiteResult(suite="net")
+    run_sf_point(result, "sf100", "epoll")
+    assert sf_row(result, "sf100", "epoll", "peak_clients") == 100_000
+    assert sf_row(result, "sf100", "epoll", "replies") == 200_000
+    assert sf_row(result, "sf100", "epoll", "throughput_rps") > 0
 
 
 def test_normalized_records_are_schema_valid(sweep):
-    from repro.bench.schema import SuiteResult
-
     result = SuiteResult.load(RECORDS)
     assert result.suite == "net"
     # One elapsed_us oracle per grid cell: cold + warm + sf rows.

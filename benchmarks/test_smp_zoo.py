@@ -16,7 +16,7 @@ machine model must reproduce:
 
 The final test runs the suite proper (:func:`repro.bench.suites.run_smp`,
 shared with ``python -m repro.bench run --suite smp``) and writes the
-normalized records CI uploads and gates on (``bench-records/smp.json``).
+schema records CI uploads and gates on (``bench-records/smp.json``).
 """
 
 from pathlib import Path
@@ -105,18 +105,19 @@ def test_sweep_is_byte_identical():
 
 
 def test_suite_writes_schema_records():
-    from repro.bench.adapters import smp_suite_result
     from repro.bench.schema import SuiteResult
     from repro.bench.suites import run_smp
 
-    payload = run_smp()
-    assert {row["algo"] for row in payload["results"]} == {
-        "tas", "ttas", "ticket", "mcs", "hybrid"
-    }
-    assert payload["ipi"]["ipis_delivered"] > 0
-    assert payload["ipi"]["ipis_delivered"] == payload["ipi"]["ipi_posts"]
+    measured = run_smp()
+    algos = {r.workload for r in measured.records
+             if r.metric == "makespan_cycles"}
+    assert algos == {"tas", "ttas", "ticket", "mcs", "hybrid"}
+    ipi = {"ncpus": 2, "rounds": measured.config["ipi_rounds"]}
+    delivered = measured.value("ipi_signal_storm", "ipis_delivered", **ipi)
+    assert delivered > 0
+    assert delivered == measured.value("ipi_signal_storm", "ipi_posts", **ipi)
 
-    smp_suite_result(payload).save(RECORDS)
+    measured.save(RECORDS)
     result = SuiteResult.load(RECORDS)
     assert result.suite == "smp"
     gated = [r for r in result.records if r.direction == "exact"]

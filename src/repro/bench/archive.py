@@ -71,7 +71,7 @@ def save_result(
     if not commit or commit == "unknown":
         raise SchemaError(
             "cannot archive without a commit label (env.commit is %r); "
-            "pass --commit" % (result.env.commit,)
+            "run inside a git checkout" % (result.env.commit,)
         )
     result.validate()
     path = history_dir / commit / ("%s.json" % result.suite)

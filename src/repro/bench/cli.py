@@ -4,7 +4,6 @@
 
     python -m repro.bench run     --suite host --out records/host.json
     python -m repro.bench run     --suite all --archive
-    python -m repro.bench migrate [--commit abc1234]
     python -m repro.bench compare baseline.json current.json
     python -m repro.bench gate    --suite host            # re-measure
     python -m repro.bench gate    --suite net --current records/net.json
@@ -12,7 +11,7 @@
     python -m repro.bench trend   [--suite host] [--format html --out t.html]
     python -m repro.bench list
 
-``run`` executes a suite and writes normalized schema records
+``run`` executes a suite and writes its schema records
 (``--archive`` files them under ``benchmarks/history/<commit>/``).
 ``compare`` diffs two record files with per-metric tolerance bands.
 ``gate`` compares a current run (measured on the spot when
@@ -25,11 +24,11 @@ an ASCII table or an HTML page.
 from __future__ import annotations
 
 import argparse
+import inspect
 import sys
 from pathlib import Path
 from typing import Optional
 
-from repro.bench.adapters import normalize
 from repro.bench.archive import (
     DEFAULT_HISTORY,
     latest_result,
@@ -47,22 +46,21 @@ from repro.bench.suites import SUITES, SUITE_RUNNERS
 from repro.bench.trend import trend_ascii, trend_html
 
 
+def _runner_params(suite: str) -> set:
+    return set(inspect.signature(SUITE_RUNNERS[suite]).parameters)
+
+
 def _run_suite_now(suite: str, config: Optional[dict] = None,
                    scale: Optional[int] = None) -> SuiteResult:
     """Measure one suite, optionally replaying an archived config."""
-    runner = SUITE_RUNNERS[suite]
-    kwargs = dict(config or {})
     # Archived configs may carry descriptive keys the runner does not
     # take (e.g. the fleet workload name); keep only real parameters.
-    import inspect
-
-    accepted = set(inspect.signature(runner).parameters)
-    kwargs = {k: v for k, v in kwargs.items()
+    accepted = _runner_params(suite)
+    kwargs = {k: v for k, v in (config or {}).items()
               if k in accepted and v is not None}
-    if scale is not None and "scale" in accepted:
+    if scale is not None:
         kwargs["scale"] = scale
-    payload = runner(**kwargs)
-    return normalize(suite, payload)
+    return SUITE_RUNNERS[suite](**kwargs)
 
 
 def _load_result(path) -> SuiteResult:
@@ -71,6 +69,13 @@ def _load_result(path) -> SuiteResult:
 
 def cmd_run(args: argparse.Namespace) -> int:
     suites = list(SUITES) if args.suite == "all" else [args.suite]
+    if args.scale is not None:
+        for suite in suites:
+            if "scale" not in _runner_params(suite):
+                print("error: suite %r has no scale; it runs its fixed "
+                      "default sweep (drop --scale)" % suite,
+                      file=sys.stderr)
+                return 2
     status = 0
     for suite in suites:
         print("running suite %r..." % suite)
@@ -94,21 +99,6 @@ def cmd_run(args: argparse.Namespace) -> int:
             path = save_result(result, args.history)
             print("  archived %s" % path)
     return status
-
-
-def cmd_migrate(args: argparse.Namespace) -> int:
-    from repro.bench.migrate import describe, migrate_legacy
-
-    saved = migrate_legacy(
-        root=args.root, history_dir=args.history, commit=args.commit
-    )
-    if not saved:
-        print("no legacy BENCH_*.json files found under %s" % args.root,
-              file=sys.stderr)
-        return 1
-    for line in describe(saved):
-        print("migrated %s" % line)
-    return 0
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
@@ -262,21 +252,13 @@ def build_parser() -> argparse.ArgumentParser:
     run = subs.add_parser("run", help="measure a suite, emit schema records")
     run.add_argument("--suite", choices=SUITES + ("all",), required=True)
     run.add_argument("--scale", type=int, default=None,
-                     help="override the suite's default scale")
+                     help="override the suite's default scale "
+                     "(host and check only)")
     run.add_argument("--out", default=None,
                      help="output file (or directory with --suite all)")
     run.add_argument("--archive", action="store_true",
                      help="also file under benchmarks/history/<commit>/")
     run.set_defaults(fn=cmd_run)
-
-    migrate = subs.add_parser(
-        "migrate", help="convert legacy BENCH_*.json into the history"
-    )
-    migrate.add_argument("--root", default=".",
-                         help="repo root holding the legacy files")
-    migrate.add_argument("--commit", default=None,
-                         help="commit label for the seed entry")
-    migrate.set_defaults(fn=cmd_migrate)
 
     comp = subs.add_parser("compare", help="diff two record files")
     comp.add_argument("baseline")

@@ -1,12 +1,13 @@
-"""The versioned benchmark-record schema shared by all four suites.
+"""The versioned benchmark-record schema shared by every suite.
 
 Every benchmark runner (host throughput, net load sweeps, check
-exploration, fleet scaling) ultimately produces the same thing: named
-metrics with a unit, measured for one workload under explicit
+exploration, fleet scaling, the smp lock zoo) produces the same thing:
+named metrics with a unit, measured for one workload under explicit
 parameters, on a fingerprinted environment.  This module is the one
-definition of that shape; the adapters in :mod:`repro.bench.adapters`
-map each runner's native payload onto it, and the compare/gate/trend
-machinery consumes nothing else.
+definition of that shape; the runners in :mod:`repro.bench.suites`
+emit it directly (each record's unit and direction are chosen where
+its value is measured), and the compare/gate/trend machinery consumes
+nothing else.
 
 A :class:`BenchRecord` carries its own comparison semantics in
 ``direction``:
@@ -35,8 +36,9 @@ speedups) get wider bands than virtual-time throughput.
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple, Union
+from typing import Any, Dict, List, Mapping, Optional, Tuple, Union
 
 #: Bump when the record shape changes incompatibly; ``from_dict``
 #: refuses payloads from a different major version.
@@ -263,6 +265,39 @@ class SuiteResult:
             seen[key] = record
         return self
 
+    def add(
+        self,
+        workload: str,
+        metric: str,
+        value: Union[Number, bool],
+        unit: str,
+        direction: str,
+        tolerance: Optional[float] = None,
+        **params: Any,
+    ) -> None:
+        """Append one record of this suite (booleans are stored as 0/1)."""
+        self.records.append(
+            BenchRecord(
+                suite=self.suite,
+                workload=workload,
+                metric=metric,
+                value=int(value) if isinstance(value, bool) else value,
+                unit=unit,
+                direction=direction,
+                params=params,
+                tolerance=tolerance,
+            )
+        )
+
+    def value(self, workload: str, metric: str, **params: Any) -> Number:
+        """The value recorded for ``workload``/``metric`` at exactly
+        ``params``; ``KeyError`` when there is no such record."""
+        key = (workload, metric, json.dumps(params, sort_keys=True))
+        for record in self.records:
+            if record.key() == key:
+                return record.value
+        raise KeyError(key)
+
     def by_key(self) -> Dict[Tuple[str, str, str], BenchRecord]:
         return {record.key(): record for record in self.records}
 
@@ -313,3 +348,72 @@ class SuiteResult:
             return cls.from_dict(payload)
         except SchemaError as exc:
             raise SchemaError("%s: %s" % (path, exc)) from exc
+
+
+def git_commit() -> str:
+    """The current short commit hash, or ``"unknown"`` outside a checkout."""
+    import subprocess
+
+    try:
+        out = subprocess.run(
+            ["git", "rev-parse", "--short", "HEAD"],
+            capture_output=True, text=True, timeout=10, check=True,
+        )
+    except (OSError, subprocess.SubprocessError):
+        return "unknown"
+    value = out.stdout.strip()
+    return value or "unknown"
+
+
+def env_fingerprint(scale: Optional[int] = None) -> EnvFingerprint:
+    """Fingerprint the measuring host (commit/python/cores/platform)."""
+    import platform
+
+    return EnvFingerprint(
+        commit=git_commit(),
+        python=platform.python_version(),
+        cores=os.cpu_count() or 1,
+        platform=platform.system().lower(),
+        scale=scale,
+    )
+
+
+def records_from_metrics(
+    metrics: Mapping[str, Any],
+    suite: str,
+    workload: str,
+    params: Optional[Dict[str, Any]] = None,
+) -> List[BenchRecord]:
+    """Harvest a counter mapping (``repro.obs`` snapshot style) into
+    ``info`` records, one per counter in name order.
+
+    Accepts both flat ``name -> number`` mappings (segment counters,
+    fleet stats) and the richer ``repro.obs`` snapshot shape where
+    histograms appear as dicts -- histogram entries contribute their
+    ``count``/``mean``/``max`` as separate metrics.  Non-numeric
+    values are skipped.
+    """
+    values: List[Tuple[str, Any]] = []
+    for name in sorted(metrics):
+        value = metrics[name]
+        if isinstance(value, Mapping):  # histogram snapshot
+            values.extend(
+                ("%s.%s" % (name, part), value[part])
+                for part in ("count", "mean", "max")
+                if part in value
+            )
+        else:
+            values.append((name, value))
+    return [
+        BenchRecord(
+            suite=suite,
+            workload=workload,
+            metric=name,
+            value=int(value) if isinstance(value, bool) else value,
+            unit="count",
+            direction="info",
+            params=dict(params or {}),
+        )
+        for name, value in values
+        if isinstance(value, (int, float))
+    ]

@@ -1,137 +1,113 @@
 """The benchmark suite runners, callable from anywhere.
 
-Historically each suite lived in its own ad-hoc runner: the host
-throughput matrix in ``benchmarks/host/run.py``, the net sweep inside
-a pytest fixture, the fleet sweep inside a test function, and the
-check sweep produced no artifact at all.  This module is the one home
-for the measurement loops; the ``benchmarks/`` modules and the
-``python -m repro.bench run`` CLI both call in here, so a suite run
-from CI and a suite run from the shell produce the same payload, and
-the adapters in :mod:`repro.bench.adapters` normalize that payload
-into schema records exactly once.
+This module is the one home for the measurement loops: the
+``benchmarks/`` modules and the ``python -m repro.bench run`` CLI both
+call in here, so a suite run from CI and a suite run from the shell
+produce the same records.  Every runner returns a validated
+:class:`~repro.bench.schema.SuiteResult`; each record's unit,
+direction and tolerance are set on the line that measures its value.
 
-Every runner returns the suite's *native* payload (the shape the
-legacy ``BENCH_*.json`` files used, so existing docs and eyeballs
-still work); pair it with its adapter to get a
-:class:`~repro.bench.schema.SuiteResult`.
+Direction policy (metric definitions live in ``docs/BENCHMARKING.md``):
+
+- **virtual-clock outputs** (simulated time, step and schedule counts,
+  makespans) are ``exact`` -- the simulation is deterministic, so any
+  difference is a semantics change that needs a deliberate baseline
+  regeneration;
+- **wall-clock rates** (``steps_per_sec``) are ``higher`` with the
+  gate's default band; fleet wall-clock *ratios* carry the wider
+  :data:`WALL_RATIO_TOLERANCE` because CI runners are shared and noisy;
+- **harvested counters and raw wall times** are ``info``: archived for
+  the trend history, never gated.
 """
 
 from __future__ import annotations
 
+import functools
 import time
-from typing import Any, Callable, Dict, List, Optional, Sequence
+from typing import Any, Callable, Dict, Optional, Sequence
 
 from repro.bench import workloads
+from repro.bench.schema import SuiteResult, env_fingerprint, records_from_metrics
+
+#: Wall-clock speedup ratios on shared CI runners need a wide band.
+WALL_RATIO_TOLERANCE = 0.5
 
 # ---------------------------------------------------------------------------
 # host throughput
 # ---------------------------------------------------------------------------
 
+#: The host benchmark matrix, in report order (a subset of
+#: :data:`repro.bench.workloads.WORKLOADS`).
+HOST_WORKLOADS = ("lock_storm", "signal_storm", "pipeline", "create_join_churn")
+
 
 def standard_workloads(scale: int) -> Dict[str, Dict[str, Any]]:
     """The host benchmark matrix.  ``scale`` multiplies iteration counts."""
-    return {
-        "lock_storm": {
-            "factory": lambda: workloads.lock_storm(
-                threads=8, iterations=25 * scale
-            ),
-            "priority": 100,
-        },
-        "signal_storm": {
-            "factory": lambda: workloads.signal_storm(
-                victims=4, rounds=100 * scale
-            ),
-            "priority": 50,
-        },
-        "pipeline": {
-            "factory": lambda: workloads.pipeline(
-                stages=4, items=25 * scale
-            ),
-            "priority": 100,
-        },
-        "create_join_churn": {
-            "factory": lambda: workloads.create_join_churn(
-                rounds=12 * scale, burst=8
-            ),
-            "priority": 100,
-        },
-    }
+    out = {}
+    for name in HOST_WORKLOADS:
+        factory, priority = workloads.WORKLOADS[name]
+        out[name] = {
+            "factory": functools.partial(factory, scale),
+            "priority": priority,
+        }
+    return out
 
 
-def run_host_workload(
+def _measure_host(
+    result: SuiteResult,
     name: str,
     factory: Callable[[], Callable],
     priority: int,
     model: str,
     repeat: int,
-) -> Dict[str, Any]:
+) -> None:
     """Run one workload ``repeat`` times; best wall time wins (minimum
     is the standard noise-rejection estimator for throughput)."""
     best_wall = None
-    steps = None
     simulated_us = None
-    switches = None
-    segment_counters = None
     for _ in range(repeat):
         main_fn = factory()
         start = time.perf_counter()
         stats = workloads.run_workload(main_fn, model=model, priority=priority)
         wall = time.perf_counter() - start
-        rt = stats["runtime"]
         if simulated_us is not None and simulated_us != stats["elapsed_us"]:
             raise AssertionError(
                 "%s: non-deterministic simulated time (%r != %r)"
                 % (name, simulated_us, stats["elapsed_us"])
             )
         simulated_us = stats["elapsed_us"]
-        steps = rt.steps
-        switches = stats["context_switches"]
-        if rt._segments is not None:
-            segment_counters = rt._segments.counters()
         if best_wall is None or wall < best_wall:
             best_wall = wall
-    result = {
-        "workload": name,
-        "model": model,
-        "wall_seconds": round(best_wall, 6),
-        "steps": steps,
-        "steps_per_sec": round(steps / best_wall, 1),
-        "simulated_us": simulated_us,
-        "simulated_us_per_sec": round(simulated_us / best_wall, 1),
-        "context_switches": switches,
-    }
-    if segment_counters is not None:
-        result["segments"] = segment_counters
-    return result
-
-
-def run_host_rows(
-    scale: int = 1, repeat: int = 3, model: str = "sparc-ipx"
-) -> List[Dict[str, Any]]:
-    """The bare result rows (the shape ``benchmarks/host/run.py`` keeps)."""
-    results = []
-    for name, spec in standard_workloads(scale).items():
-        results.append(
-            run_host_workload(
-                name, spec["factory"], spec["priority"], model, repeat
-            )
+    rt = stats["runtime"]
+    add = functools.partial(result.add, name)
+    add("steps_per_sec", round(rt.steps / best_wall, 1), "steps/s", "higher")
+    add("wall_seconds", round(best_wall, 6), "s", "info")
+    add("simulated_us", simulated_us, "us", "exact")
+    add("simulated_us_per_sec", round(simulated_us / best_wall, 1), "us/s",
+        "info")
+    add("steps", rt.steps, "count", "exact")
+    add("context_switches", stats["context_switches"], "count", "info")
+    if rt._segments is not None:
+        result.records.extend(
+            records_from_metrics(rt._segments.counters(), result.suite, name)
         )
-    return results
 
 
 def run_host(
     scale: int = 4, repeat: int = 3, model: str = "sparc-ipx"
-) -> Dict[str, Any]:
-    """The full host-throughput payload (``BENCH_host.json`` shape)."""
-    import platform as platform_mod
-
-    return {
-        "suite": "host-throughput",
-        "scale": scale,
-        "repeat": repeat,
-        "python": platform_mod.python_version(),
-        "results": run_host_rows(scale=scale, repeat=repeat, model=model),
-    }
+) -> SuiteResult:
+    """Executor throughput on the host matrix: steps/s per workload,
+    with simulated time as the determinism oracle."""
+    result = SuiteResult(
+        suite="host",
+        env=env_fingerprint(scale=scale),
+        config={"scale": scale, "repeat": repeat, "model": model},
+    )
+    for name, spec in standard_workloads(scale).items():
+        _measure_host(
+            result, name, spec["factory"], spec["priority"], model, repeat
+        )
+    return result.validate()
 
 
 # ---------------------------------------------------------------------------
@@ -202,12 +178,20 @@ NET_SF_LOAD: Dict[str, Any] = dict(
 
 
 def run_net_point(
+    result: SuiteResult,
     arch: str,
     clients: int,
     pool_size: int,
     load: Optional[Dict[str, Any]] = None,
-) -> Dict[str, Any]:
-    """One grid cell: run the scenario, flatten the report row."""
+    sweep: str = "cold",
+) -> None:
+    """One grid cell: run the scenario, record its row.
+
+    Every number is virtual-time and bit-deterministic, so
+    ``elapsed_us`` is the cell's ``exact`` divergence oracle;
+    throughput and tail latency also get tolerance bands so a
+    regression reads as a regression, not just "something diverged".
+    """
     from repro.net.scenario import run_scenario
 
     load = dict(NET_LOAD if load is None else load)
@@ -216,27 +200,27 @@ def run_net_point(
     )
     assert report.requests_served == clients  # every request answered
     assert report.refused == 0
-    return {
-        "arch": arch,
-        "clients": clients,
-        "pool_size": pool_size,
-        "elapsed_us": round(report.elapsed_us, 1),
-        "throughput_rps": round(report.throughput_rps, 1),
-        "latency_p50_us": round(report.latency_p50_us, 1),
-        "latency_p99_us": round(report.latency_p99_us, 1),
-        "accept_wait_p50_us": round(report.accept_wait_p50_us, 1),
-        "accept_wait_p99_us": round(report.accept_wait_p99_us, 1),
-        "accept_depth_max": report.accept_depth_max,
-        "queue_wait_p99_us": round(report.queue_wait_p99_us, 1),
-        "syscalls": report.syscalls,
-        "context_switches": report.context_switches,
-        "completions_sigio": report.completions_sigio,
-        "completions_fc": report.completions_fc,
-    }
+    add = functools.partial(
+        result.add, arch, clients=clients, pool_size=pool_size, sweep=sweep
+    )
+    add("elapsed_us", round(report.elapsed_us, 1), "us", "exact")
+    add("throughput_rps", round(report.throughput_rps, 1), "req/s", "higher")
+    add("latency_p50_us", round(report.latency_p50_us, 1), "us", "info")
+    add("latency_p99_us", round(report.latency_p99_us, 1), "us", "lower")
+    add("accept_wait_p50_us", round(report.accept_wait_p50_us, 1), "us",
+        "info")
+    add("accept_wait_p99_us", round(report.accept_wait_p99_us, 1), "us",
+        "lower")
+    add("accept_depth_max", report.accept_depth_max, "count", "info")
+    add("syscalls", report.syscalls, "count", "info")
+    add("context_switches", report.context_switches, "count", "info")
+    add("completions_sigio", report.completions_sigio, "count", "info")
+    add("completions_fc", report.completions_fc, "count", "info")
+    add("queue_wait_p99_us", round(report.queue_wait_p99_us, 1), "us", "info")
 
 
-def run_sf_point(sf: str, arch: str) -> Dict[str, Any]:
-    """One scale-factor cell: run the fixture, emit a normalized row.
+def run_sf_point(result: SuiteResult, sf: str, arch: str) -> None:
+    """One scale-factor cell: run the fixture, record a normalized row.
 
     Every rate/percentile is per-sample (per reply), so rows are
     comparable across fixtures whose client and request counts differ
@@ -255,25 +239,23 @@ def run_sf_point(sf: str, arch: str) -> Dict[str, Any]:
     assert report.refused == 0
     assert report.replies == expected  # every request answered
     assert report.peak_clients == clients  # all concurrently resident
-    return {
-        "sf": sf,
-        "arch": arch,
-        "clients": clients,
-        "requests_per_client": report.requests_per_client,
-        "replies": report.replies,
-        "peak_clients": report.peak_clients,
-        "elapsed_us": round(report.elapsed_us, 1),
-        "throughput_rps": round(report.throughput_rps, 1),
-        "latency_mean_us": round(report.latency_mean_us, 1),
-        "latency_p50_us": round(report.latency_p50_us, 1),
-        "latency_p99_us": round(report.latency_p99_us, 1),
-        "syscalls_per_request": round(report.syscalls / report.replies, 3),
-        "epoll_waits": report.epoll_waits,
-        "epoll_wakeups": report.epoll_wakeups,
-        "epoll_ctl_calls": report.epoll_ctl_calls,
-        "epoll_ready_returned": report.epoll_ready_returned,
-        "epoll_stale_dropped": report.epoll_stale_dropped,
-    }
+    add = functools.partial(
+        result.add, arch, sf=sf, clients=clients, sweep="sf"
+    )
+    add("elapsed_us", round(report.elapsed_us, 1), "us", "exact")
+    add("peak_clients", report.peak_clients, "count", "exact")
+    add("throughput_rps", round(report.throughput_rps, 1), "req/s", "higher")
+    add("latency_p50_us", round(report.latency_p50_us, 1), "us", "info")
+    add("latency_p99_us", round(report.latency_p99_us, 1), "us", "lower")
+    add("latency_mean_us", round(report.latency_mean_us, 1), "us", "info")
+    add("syscalls_per_request", round(report.syscalls / report.replies, 3),
+        "count", "lower")
+    add("replies", report.replies, "count", "info")
+    add("epoll_waits", report.epoll_waits, "count", "info")
+    add("epoll_wakeups", report.epoll_wakeups, "count", "info")
+    add("epoll_ctl_calls", report.epoll_ctl_calls, "count", "info")
+    add("epoll_ready_returned", report.epoll_ready_returned, "count", "info")
+    add("epoll_stale_dropped", report.epoll_stale_dropped, "count", "info")
 
 
 def run_net(
@@ -282,40 +264,41 @@ def run_net(
     cache_pool_size: int = NET_CACHE_POOL_SIZE,
     load: Optional[Dict[str, Any]] = None,
     sf: Sequence[str] = NET_SF_DEFAULT,
-) -> Dict[str, Any]:
-    """The full sweep payload (``BENCH_net.json`` shape).
+) -> SuiteResult:
+    """The full architecture sweep.
 
-    The headline grid disables the TCB/stack cache (``pool_size=0``)
-    to isolate the architecture comparison; a second sweep at the top
-    client count re-enables the cache and shows the gap narrow --
-    ``pthread_create`` pre-caching is itself a thread pool, one layer
-    down.  The ``sf`` scale-factor fixtures then push the dispatcher
-    architectures into the long-lived high-concurrency regime
-    (``NET_SF_FIXTURES``); sf100 is opt-in (pass ``sf`` explicitly).
+    The headline grid (``sweep="cold"``) disables the TCB/stack cache
+    (``pool_size=0``) to isolate the architecture comparison; a second
+    sweep (``"warm"``) at the top client count re-enables the cache and
+    shows the gap narrow -- ``pthread_create`` pre-caching is itself a
+    thread pool, one layer down.  The ``sf`` scale-factor fixtures then
+    push the dispatcher architectures into the long-lived
+    high-concurrency regime (``NET_SF_FIXTURES``); sf100 is opt-in
+    (pass ``sf`` explicitly).
     """
     load = dict(NET_LOAD if load is None else load)
-    results = [
-        run_net_point(arch, clients, pool_size=0, load=load)
-        for clients in client_sweep
-        for arch in archs
-    ]
-    cached = [
-        run_net_point(arch, client_sweep[-1], cache_pool_size, load=load)
-        for arch in archs
-    ]
-    sf_results = [
-        run_sf_point(name, arch)
-        for name in sf
-        for arch in NET_SF_FIXTURES[name]["archs"]
-    ]
-    return {
-        "suite": "net-architecture-sweep",
-        "model": "sparc-ipx",
-        "load": load,
-        "results": results,
-        "cache_on_results": cached,
-        "sf_results": sf_results,
-    }
+    result = SuiteResult(
+        suite="net",
+        env=env_fingerprint(),
+        config={
+            "client_sweep": sorted(set(client_sweep)),
+            "archs": sorted(set(archs)),
+            "cache_pool_size": cache_pool_size,
+            "load": dict(load),
+            "model": "sparc-ipx",
+            "sf": sorted(set(sf)),
+        },
+    )
+    for clients in client_sweep:
+        for arch in archs:
+            run_net_point(result, arch, clients, 0, load=load, sweep="cold")
+    for arch in archs:
+        run_net_point(result, arch, client_sweep[-1], cache_pool_size,
+                      load=load, sweep="warm")
+    for name in sf:
+        for arch in NET_SF_FIXTURES[name]["archs"]:
+            run_sf_point(result, name, arch)
+    return result.validate()
 
 
 # ---------------------------------------------------------------------------
@@ -328,7 +311,7 @@ def run_check(
     seed: int = 99,
     scale: int = 1,
     names: Optional[Sequence[str]] = None,
-) -> Dict[str, Any]:
+) -> SuiteResult:
     """Seeded random-walk exploration over the checker workloads.
 
     Everything but ``wall_seconds`` is deterministic for a fixed
@@ -338,54 +321,32 @@ def run_check(
     from repro.check.cli import WORKLOADS
     from repro.check.explore import Explorer
 
+    result = SuiteResult(
+        suite="check",
+        env=env_fingerprint(scale=scale),
+        config={"runs": runs, "seed": seed, "scale": scale},
+    )
     chosen = sorted(WORKLOADS) if names is None else list(names)
-    results = []
     for name in chosen:
         factory, priority = WORKLOADS[name]
         explorer = Explorer(lambda: factory(scale), priority=priority)
         start = time.perf_counter()
         report = explorer.explore_random(runs=runs, seed=seed)
         wall = time.perf_counter() - start
-        results.append(
-            {
-                "workload": name,
-                "mode": "random",
-                "runs": runs,
-                "seed": seed,
-                "schedules_explored": report.schedules_explored,
-                "checks_run": report.checks_run,
-                "failures": len(report.failures),
-                "wall_seconds": round(wall, 6),
-            }
+        add = functools.partial(
+            result.add, name, mode="random", runs=runs, seed=seed
         )
-    return {
-        "suite": "check-exploration",
-        "runs": runs,
-        "seed": seed,
-        "scale": scale,
-        "results": results,
-    }
+        add("schedules_explored", report.schedules_explored, "count",
+            "exact")
+        add("checks_run", report.checks_run, "count", "exact")
+        add("failures", len(report.failures), "count", "exact")
+        add("wall_seconds", round(wall, 6), "s", "info")
+    return result.validate()
 
 
 # ---------------------------------------------------------------------------
 # fleet scaling sweep
 # ---------------------------------------------------------------------------
-
-
-def fleet_stats_dict(stats) -> Dict[str, Any]:
-    return {
-        "backend": stats.backend,
-        "jobs": stats.jobs,
-        "tasks": stats.tasks,
-        "snapshots_created": stats.snapshots_created,
-        "snapshot_hits": stats.snapshot_hits,
-        "snapshot_evictions": stats.snapshot_evictions,
-        "speculative_waste": stats.speculative_waste,
-        "fallbacks": stats.fallbacks,
-        "steps_executed": stats.steps_executed,
-        "steps_full": stats.steps_full,
-        "steps_saved": stats.steps_saved,
-    }
 
 
 def run_fleet(
@@ -396,14 +357,19 @@ def run_fleet(
     jobs: int = 4,
     grid: bool = True,
     grid_repeat: int = 3,
-) -> Dict[str, Any]:
-    """DFS snapshot sweep + scenario compare grid (``BENCH_fleet.json``
-    shape).  Needs :func:`os.fork`.
+) -> SuiteResult:
+    """DFS snapshot sweep (workload ``dfs``) and scenario compare grid
+    (workload ``compare_grid``).  Needs :func:`os.fork`.
 
     The DFS speedup is algorithmic (prefix checkpoints cut simulated
     steps), so it holds on a single-core host; the grid speedup is
-    pure fan-out and is bounded by the host's core count.
+    pure fan-out and is bounded by the host's core count.  The
+    algorithmic facts (schedules explored, byte-identical reports, the
+    full replay step count) are ``exact``; snapshot placement counters
+    depend on speculation timing, so they are harvested per ``phase``
+    as ``info``.
     """
+    import dataclasses
     import os
 
     from repro.bench.workloads import signal_storm
@@ -412,6 +378,19 @@ def run_fleet(
 
     if not hasattr(os, "fork"):  # pragma: no cover - POSIX-only repo
         raise RuntimeError("the fleet suite needs os.fork")
+
+    result = SuiteResult(
+        suite="fleet",
+        env=env_fingerprint(),
+        config={
+            "workload": "signal_storm",
+            "max_runs": max_runs,
+            "rounds": rounds,
+            "max_depth": max_depth,
+            "max_branch": max_branch,
+            "grid": grid,
+        },
+    )
 
     def make_explorer() -> Explorer:
         # rounds=800 (scale 8): the trail is ~1600 choice points spread
@@ -441,27 +420,29 @@ def run_fleet(
         and par_report == seq_report
         and par_report.render() == seq_report.render()
     )
-
-    payload: Dict[str, Any] = {
-        "host_cores": os.cpu_count() or 1,
-        "dfs": {
-            "workload": "signal_storm",
-            "scale": rounds // 100,
-            "max_runs": max_runs,
-            "max_depth": max_depth,
-            "max_branch": max_branch,
-            "schedules_explored": seq_report.schedules_explored,
-            "sequential_s": round(seq_s, 3),
-            "snapshot_jobs1_s": round(snap_s, 3),
-            "jobs4_s": round(par_s, 3),
-            "speedup_snapshot_jobs1": round(seq_s / snap_s, 2),
-            "speedup_jobs4": round(seq_s / par_s, 2),
-            "reports_identical": dfs_identical,
-            "sequential_fleet": fleet_stats_dict(seq_report.fleet),
-            "snapshot_fleet": fleet_stats_dict(snap_report.fleet),
-            "jobs4_fleet": fleet_stats_dict(par_report.fleet),
-        },
-    }
+    dfs = functools.partial(result.add, "dfs")
+    dfs("schedules_explored", seq_report.schedules_explored, "count", "exact")
+    dfs("sequential_s", round(seq_s, 3), "s", "info")
+    dfs("snapshot_jobs1_s", round(snap_s, 3), "s", "info")
+    dfs("jobs4_s", round(par_s, 3), "s", "info")
+    dfs("speedup_snapshot_jobs1", round(seq_s / snap_s, 2), "ratio",
+        "higher", WALL_RATIO_TOLERANCE)
+    dfs("speedup_jobs4", round(seq_s / par_s, 2), "ratio", "higher",
+        WALL_RATIO_TOLERANCE)
+    dfs("reports_identical", dfs_identical, "bool", "exact")
+    dfs("steps_full", seq_report.fleet.steps_full, "count", "exact")
+    for phase, report in (
+        ("sequential", seq_report),
+        ("snapshot", snap_report),
+        ("jobs4", par_report),
+    ):
+        stats = report.fleet
+        counters = dict(dataclasses.asdict(stats), steps_saved=stats.steps_saved)
+        result.records.extend(
+            records_from_metrics(
+                counters, result.suite, "dfs", params={"phase": phase}
+            )
+        )
 
     if grid:
         cells = [
@@ -490,15 +471,15 @@ def run_fleet(
         grid_identical = grid_par == grid_seq and [
             r.render() for r in grid_par
         ] == [r.render() for r in grid_seq]
-        payload["compare_grid"] = {
-            "cells": len(cells),
-            "sequential_s": round(grid_seq_s, 3),
-            "jobs4_s": round(grid_par_s, 3),
-            "speedup_jobs4": round(grid_seq_s / grid_par_s, 2),
-            "reports_identical": grid_identical,
-        }
+        cmp = functools.partial(result.add, "compare_grid")
+        cmp("cells", len(cells), "count", "exact")
+        cmp("sequential_s", round(grid_seq_s, 3), "s", "info")
+        cmp("jobs4_s", round(grid_par_s, 3), "s", "info")
+        cmp("speedup_jobs4", round(grid_seq_s / grid_par_s, 2), "ratio",
+            "higher", WALL_RATIO_TOLERANCE)
+        cmp("reports_identical", grid_identical, "bool", "exact")
 
-    return payload
+    return result.validate()
 
 
 # ---------------------------------------------------------------------------
@@ -513,18 +494,32 @@ def run_smp(
     model: str = "niagara-t3",
     seed: int = 42,
     ipi_rounds: int = 40,
-) -> Dict[str, Any]:
-    """The SMP suite payload: the lock-zoo crossover sweep plus an
-    IPI-routed signal workload.
+) -> SuiteResult:
+    """The lock-zoo crossover sweep plus an IPI-routed signal workload.
 
     Every simulated number is deterministic in (model, seed, axes):
     the zoo's per-cell makespans come off per-CPU virtual clocks, and
-    the IPI row runs ``signal_storm`` on a 2-CPU world where every
-    async signal crosses from the interrupt CPU as an IPI event.  Only
-    ``wall_seconds`` varies run to run.
+    the IPI row (workload ``ipi_signal_storm``) runs ``signal_storm``
+    on a 2-CPU world where every async signal crosses from the
+    interrupt CPU as an IPI event.  A changed makespan is a changed
+    contention semantics, so those records are ``exact``; the
+    coherence/IPI counters are ``info``.  Only the wall times vary run
+    to run.
     """
-    from repro.locks.workload import ZOO_ALGOS, ZOO_CPUS, run_zoo
+    from repro.locks.workload import run_zoo
 
+    result = SuiteResult(
+        suite="smp",
+        env=env_fingerprint(),
+        config={
+            "acquisitions": acquisitions,
+            "section_cycles": section_cycles,
+            "think_cycles": think_cycles,
+            "model": model,
+            "seed": seed,
+            "ipi_rounds": ipi_rounds,
+        },
+    )
     start = time.perf_counter()
     rows = run_zoo(
         acquisitions=acquisitions,
@@ -534,6 +529,20 @@ def run_smp(
         seed=seed,
     )
     zoo_wall = time.perf_counter() - start
+    for row in rows:
+        algo = row["algo"]
+        params = {"ncpus": row["ncpus"], "model": row["model"]}
+        add = functools.partial(result.add, algo, **params)
+        add("makespan_cycles", row["makespan_cycles"], "cycles", "exact")
+        add("cycles_per_acquisition", row["cycles_per_acquisition"],
+            "cycles", "exact")
+        add("executor_steps", row["executor_steps"], "count", "exact")
+        add("acquisitions", row["acquisitions"], "count", "exact")
+        lock = {"lock.%s" % k: v for k, v in row["lock"].items()}
+        for counters in (row["counters"], lock):
+            result.records.extend(
+                records_from_metrics(counters, result.suite, algo, params)
+            )
 
     start = time.perf_counter()
     stats = workloads.run_workload(
@@ -547,41 +556,28 @@ def run_smp(
     )
     ipi_wall = time.perf_counter() - start
     rt = stats["runtime"]
-    smp = rt.world.smp
-    ipi_row = {
-        "workload": "signal_storm",
-        "ncpus": 2,
-        "rounds": ipi_rounds,
-        "elapsed_us": stats["elapsed_us"],
-        "context_switches": stats["context_switches"],
-        "ipis_sent": smp.counters()["smp.ipis_sent"],
-        "ipis_delivered": smp.counters()["smp.ipis_delivered"],
-        "ipi_posts": rt.proc.signals.ipi_posts,
-    }
+    smp = rt.world.smp.counters()
+    ipi = functools.partial(
+        result.add, "ipi_signal_storm", ncpus=2, rounds=ipi_rounds
+    )
+    ipi("elapsed_us", stats["elapsed_us"], "us", "exact")
+    ipi("ipis_sent", smp["smp.ipis_sent"], "count", "exact")
+    ipi("ipis_delivered", smp["smp.ipis_delivered"], "count", "exact")
+    ipi("ipi_posts", rt.proc.signals.ipi_posts, "count", "exact")
+    ipi("context_switches", stats["context_switches"], "count", "info")
 
-    return {
-        "suite": "smp-lock-zoo",
-        "model": model,
-        "seed": seed,
-        "acquisitions": acquisitions,
-        "section_cycles": section_cycles,
-        "think_cycles": think_cycles,
-        "algos": list(ZOO_ALGOS),
-        "cpu_counts": list(ZOO_CPUS),
-        "results": rows,
-        "ipi": ipi_row,
-        "zoo_wall_seconds": round(zoo_wall, 6),
-        "ipi_wall_seconds": round(ipi_wall, 6),
-    }
+    result.add("suite", "zoo_wall_seconds", round(zoo_wall, 6), "s", "info")
+    result.add("suite", "ipi_wall_seconds", round(ipi_wall, 6), "s", "info")
+    return result.validate()
 
 
 # ---------------------------------------------------------------------------
 # the registry the CLI dispatches on
 # ---------------------------------------------------------------------------
 
-#: suite name -> (runner, config keys the runner accepts).  The gate
-#: re-measures a baseline by feeding its archived ``config`` back in.
-SUITE_RUNNERS: Dict[str, Callable[..., Dict[str, Any]]] = {
+#: suite name -> runner.  The gate re-measures a baseline by feeding
+#: its archived ``config`` back in as keyword arguments.
+SUITE_RUNNERS: Dict[str, Callable[..., SuiteResult]] = {
     "host": run_host,
     "net": run_net,
     "check": run_check,

@@ -24,16 +24,17 @@ import argparse
 import sys
 from typing import Callable, Dict, Tuple
 
+from repro.bench.workloads import WORKLOADS as BENCH_WORKLOADS
 from repro.check import workloads as check_workloads
 from repro.check.explore import Explorer, ExploreReport, RunResult
 from repro.check.preseed import BUGS, preseeded
 from repro.check.reduce import Reducer
 from repro.debug.replay import compare_schedules
-from repro.obs.cli import WORKLOADS as BENCH_WORKLOADS
 
 #: name -> (factory(scale) -> workload main, main-thread priority).
-#: The bench workloads are shared with ``python -m repro.obs``; the
-#: two targeted ones exercise the checker's protocol windows.
+#: The bench workloads (:data:`repro.bench.workloads.WORKLOADS`) are
+#: shared with ``python -m repro.obs``; the others exercise the
+#: checker's protocol windows.
 WORKLOADS: Dict[str, Tuple[Callable[[int], Callable], int]] = dict(
     BENCH_WORKLOADS
 )

@@ -19,9 +19,10 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import Any, Callable, Dict, Optional, Tuple
+from typing import Any, Dict, Optional, Tuple
 
 from repro.bench import workloads
+from repro.bench.workloads import WORKLOADS
 from repro.debug.trace import Tracer
 from repro.obs.core import Observability
 from repro.obs.export import (
@@ -29,30 +30,6 @@ from repro.obs.export import (
     write_chrome_trace,
     write_jsonl,
 )
-
-#: name -> (factory(scale) -> workload main, main-thread priority).
-WORKLOADS: Dict[str, Tuple[Callable[[int], Callable], int]] = {
-    "lock_storm": (
-        lambda scale: workloads.lock_storm(threads=8, iterations=25 * scale),
-        100,
-    ),
-    "signal_storm": (
-        lambda scale: workloads.signal_storm(victims=4, rounds=100 * scale),
-        50,
-    ),
-    "pipeline": (
-        lambda scale: workloads.pipeline(stages=4, items=25 * scale),
-        100,
-    ),
-    "fan_out_fan_in": (
-        lambda scale: workloads.fan_out_fan_in(workers=8, chunks=4 * scale),
-        100,
-    ),
-    "create_join_churn": (
-        lambda scale: workloads.create_join_churn(rounds=12 * scale, burst=8),
-        100,
-    ),
-}
 
 
 def run_observed(

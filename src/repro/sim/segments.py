@@ -138,8 +138,8 @@ class SegmentSpace:
             table[costs.ENTER_KERNEL] + table[costs.COND_SIGNAL_WORK]
             + table[costs.LEAVE_KERNEL]
         )
-        # exec.segment.* counters (harvested into BENCH_host.json and
-        # ``python -m repro.obs report``).
+        # exec.segment.* counters (harvested as info records by the
+        # host bench suite and shown by ``python -m repro.obs report``).
         self.segments_compiled = 0
         self.hits = 0
         self.misses = 0

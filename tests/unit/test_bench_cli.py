@@ -2,7 +2,6 @@
 gate semantics: self-compare passes twice, an injected 25% steps/s drop
 or any simulated-time divergence exits nonzero)."""
 
-import json
 from pathlib import Path
 
 import pytest
@@ -45,15 +44,14 @@ def run_cli(history, *argv):
     return main(["--history", str(history)] + list(argv))
 
 
-def test_migrate_then_list(history, capsys):
-    assert run_cli(history, "migrate", "--root", str(REPO_ROOT),
-                   "--commit", "seed1") == 0
-    out = capsys.readouterr().out
-    assert out.count("migrated") == 3
+def test_save_then_list(history, capsys):
+    save_result(host_result(commit="seed1"), history)
+    save_result(SuiteResult(suite="check", env=EnvFingerprint(commit="seed1")),
+                history)
     assert run_cli(history, "list") == 0
     out = capsys.readouterr().out
     assert "seed1" in out
-    assert "fleet, host, net" in out
+    assert "check, host" in out
 
 
 def test_compare_identical_passes(history, tmp_path, capsys):
@@ -130,10 +128,9 @@ def test_gate_measures_now_and_passes_on_same_commit(history, capsys):
     # End to end on a real suite: archive a measured check run, then
     # let the gate re-measure with the archived config.  The checker
     # is virtual-time deterministic, so the exact oracles match.
-    from repro.bench.adapters import check_suite_result
     from repro.bench.suites import run_check
 
-    result = check_suite_result(run_check(runs=5, seed=99))
+    result = run_check(runs=5, seed=99)
     result.env.commit = "c1"
     save_result(result, history)
     assert run_cli(history, "gate", "--suite", "check") == 0
@@ -148,6 +145,27 @@ def test_run_writes_schema_records(history, tmp_path, capsys):
     assert result.suite == "check"
     assert result.records
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("suite", ["net", "fleet", "smp"])
+def test_run_rejects_scale_for_fixed_sweeps(history, tmp_path, capsys,
+                                            suite):
+    # These runners take no scale; --scale must not be silently dropped.
+    out = tmp_path / "records.json"
+    assert run_cli(history, "run", "--suite", suite, "--scale", "2",
+                   "--out", str(out)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""  # refused before measuring anything
+    assert len(captured.err.splitlines()) == 1
+    assert repr(suite) in captured.err
+    assert not out.exists()
+
+
+def test_run_all_rejects_scale_before_measuring(history, capsys):
+    assert run_cli(history, "run", "--suite", "all", "--scale", "2") == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
 
 
 def test_trend_ascii_renders_history_with_gaps(history, capsys):
@@ -227,8 +245,3 @@ def test_module_entrypoint():
     assert proc.returncode == 0
     assert "suites: check, fleet, host, net, smp" in proc.stdout
 
-
-def test_legacy_payload_files_still_valid_json():
-    for name in ("BENCH_host.json", "BENCH_net.json", "BENCH_fleet.json"):
-        with (REPO_ROOT / name).open() as fh:
-            json.load(fh)

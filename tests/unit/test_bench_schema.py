@@ -10,6 +10,7 @@ from repro.bench.schema import (
     EnvFingerprint,
     SchemaError,
     SuiteResult,
+    records_from_metrics,
 )
 
 
@@ -61,6 +62,49 @@ def test_suite_result_round_trip(tmp_path):
     payload = json.loads(path.read_text())
     assert payload["schema_version"] == SCHEMA_VERSION
     assert payload["env"]["commit"] == "abc1234"
+
+
+def test_add_builds_records_of_the_suite():
+    result = SuiteResult(suite="net")
+    result.add("pool", "elapsed_us", 12.5, "us", "exact",
+               clients=50, sweep="cold")
+    result.add("pool", "identical", True, "bool", "exact")
+    result.add("pool", "speedup", 2.0, "ratio", "higher", 0.5)
+    assert result.validate().records == [
+        BenchRecord(suite="net", workload="pool", metric="elapsed_us",
+                    value=12.5, unit="us", direction="exact",
+                    params={"clients": 50, "sweep": "cold"}),
+        BenchRecord(suite="net", workload="pool", metric="identical",
+                    value=1, unit="bool", direction="exact"),
+        BenchRecord(suite="net", workload="pool", metric="speedup",
+                    value=2.0, unit="ratio", direction="higher",
+                    tolerance=0.5),
+    ]
+
+
+def test_value_looks_up_exact_params():
+    result = SuiteResult(suite="net")
+    result.add("pool", "elapsed_us", 1.0, "us", "exact", clients=50)
+    result.add("pool", "elapsed_us", 2.0, "us", "exact", clients=200)
+    assert result.value("pool", "elapsed_us", clients=200) == 2.0
+    with pytest.raises(KeyError):
+        result.value("pool", "elapsed_us")  # params must match exactly
+    with pytest.raises(KeyError):
+        result.value("select", "elapsed_us", clients=50)
+
+
+def test_records_from_metrics_harvests_info_counters():
+    records = records_from_metrics(
+        {"b.count": 3, "a.flag": True, "name": "inproc",
+         "lat": {"count": 2, "mean": 1.5, "max": 2.0, "buckets": [1]}},
+        "fleet", "dfs", params={"phase": "jobs4"},
+    )
+    assert [(r.metric, r.value) for r in records] == [
+        ("a.flag", 1), ("b.count", 3),
+        ("lat.count", 2), ("lat.mean", 1.5), ("lat.max", 2.0),
+    ]
+    assert all(r.direction == "info" and r.params == {"phase": "jobs4"}
+               for r in records)
 
 
 def test_key_distinguishes_params():
