@@ -52,8 +52,6 @@ class FakeCalls:
 
     def __init__(self, runtime: "PthreadsRuntime") -> None:
         self.rt = runtime
-        # Watcher-free fast-path charge (see LibKernel.__init__).
-        self._c_setup = runtime.world._costs[costs.FAKE_CALL_SETUP]
         self.installed = 0
 
     def install(
@@ -61,10 +59,7 @@ class FakeCalls:
     ) -> None:
         rt = self.rt
         world = rt.world
-        if world.clock._watchers:
-            world.spend(costs.FAKE_CALL_SETUP, fire=False)
-        else:
-            world.clock.cycles += self._c_setup
+        world.spend(costs.FAKE_CALL_SETUP, fire=False)
         self.installed += 1
 
         reacquire = None

@@ -29,13 +29,6 @@ class LibKernel:
 
     def __init__(self, runtime: "PthreadsRuntime") -> None:
         self._runtime = runtime
-        # Pre-resolved cycle charges: enter/leave run several times per
-        # executor step, so the ``spend`` call (method + table lookup)
-        # is bypassed whenever no clock watcher needs to see the charge
-        # key (obs attribution re-enables the slow path).
-        table = runtime.world._costs
-        self._c_enter = table[costs.ENTER_KERNEL]
-        self._c_leave = table[costs.LEAVE_KERNEL]
         self.kernel_flag = False
         self.dispatcher_flag = False
         #: Signals caught by the universal handler while the kernel flag
@@ -55,10 +48,7 @@ class LibKernel:
             )
         world = self._runtime.world
         clock = world.clock
-        if clock._watchers:
-            world.spend(costs.ENTER_KERNEL, fire=False)
-        else:
-            clock.cycles += self._c_enter
+        world.spend(costs.ENTER_KERNEL, fire=False)
         self.kernel_flag = True
         self.enters += 1
         # Events due *now* fire inside the critical section, which is
@@ -75,10 +65,7 @@ class LibKernel:
         runtime = self._runtime
         world = runtime.world
         clock = world.clock
-        if clock._watchers:
-            world.spend(costs.LEAVE_KERNEL, fire=False)
-        else:
-            clock.cycles += self._c_leave
+        world.spend(costs.LEAVE_KERNEL, fire=False)
         # Drain events that became due during the critical section while
         # the flag is still set: their signals take the log-and-defer
         # path and are handled by the dispatcher below (Figure 2).

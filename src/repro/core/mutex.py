@@ -93,11 +93,6 @@ class MutexOps(LibraryOps):
 
     def __init__(self, runtime: "PthreadsRuntime") -> None:
         super().__init__(runtime)
-        # Watcher-free fast-path charges (see LibKernel.__init__).
-        table = runtime.world._costs
-        self._c_protocol = table[costs.PROTOCOL_CHECK]
-        self._c_fast_lock = table[costs.MUTEX_FAST_LOCK]
-        self._c_fast_unlock = table[costs.MUTEX_FAST_UNLOCK]
         #: Run-wide totals (per-mutex counts live on each Mutex, but
         #: mutexes are not enumerable from the runtime; these feed the
         #: observability harvest).
@@ -134,10 +129,7 @@ class MutexOps(LibraryOps):
         if mutex.destroyed:
             return EINVAL
         world = rt.world
-        if world.clock._watchers:
-            world.spend(costs.PROTOCOL_CHECK, fire=False)
-        else:
-            world.clock.cycles += self._c_protocol
+        world.spend(costs.PROTOCOL_CHECK, fire=False)
         if mutex.protocol == cfg.PRIO_PROTECT and rt.config.check_ceilings:
             if tcb.base_priority > mutex.prioceiling:
                 # The paper: locking above the ceiling should be an
@@ -167,21 +159,17 @@ class MutexOps(LibraryOps):
 
     def _try_fast_acquire(self, tcb: Tcb, mutex: Mutex) -> bool:
         """Figure 4: ldstub + record owner, as a restartable sequence."""
-        rt = self.rt
-        clock = rt.world.clock
-        if clock._watchers:
-            rt.world.spend(costs.MUTEX_FAST_LOCK, fire=False)
-        else:
-            clock.cycles += self._c_fast_lock
+        world = self.rt.world
+        world.spend(costs.MUTEX_FAST_LOCK, fire=False)
         seq = mutex.lock_sequence
-        if seq.interrupt_hook is None and not clock._watchers:
-            # No interruption source and no clock watchers: the
-            # sequence below runs straight through, so charge its seven
-            # instructions in one advance and perform the two stores
-            # directly.  Identical virtual time and identical final
-            # state -- nothing can observe the clock mid-sequence.
+        if seq.interrupt_hook is None:
+            # No interruption source: the sequence below runs straight
+            # through, so charge its seven instructions in one advance
+            # and perform the two stores directly.  Identical virtual
+            # time, final state and attribution (the seven advances are
+            # all compute for the same thread).
             seq.runs += 1
-            clock.advance(seq._insn * 7)
+            world.clock.advance(seq._insn * 7)
             old = mutex.cell.value
             mutex.cell.value = 0xFF
             if old == 0:
@@ -264,19 +252,12 @@ class MutexOps(LibraryOps):
         if mutex.destroyed:
             return EINVAL
         world = rt.world
-        watched = bool(world.clock._watchers)
-        if watched:
-            world.spend(costs.PROTOCOL_CHECK, fire=False)
-        else:
-            world.clock.cycles += self._c_protocol
+        world.spend(costs.PROTOCOL_CHECK, fire=False)
         if mutex.owner is not tcb:
             return EPERM
         if not mutex.waiters and mutex.protocol == cfg.PRIO_NONE:
             # Uncontended, no protocol: clear the byte and go.
-            if watched:
-                world.spend(costs.MUTEX_FAST_UNLOCK, fire=False)
-            else:
-                world.clock.cycles += self._c_fast_unlock
+            world.spend(costs.MUTEX_FAST_UNLOCK, fire=False)
             mutex.cell.value = 0
             mutex.owner = None
             rt.protocols.on_released(tcb, mutex)
@@ -286,10 +267,7 @@ class MutexOps(LibraryOps):
                 )
             return OK
         rt.kern.enter()
-        if world.clock._watchers:
-            world.spend(costs.MUTEX_FAST_UNLOCK, fire=False)
-        else:
-            world.clock.cycles += self._c_fast_unlock
+        world.spend(costs.MUTEX_FAST_UNLOCK, fire=False)
         self.unlock_locked(tcb, mutex)
         rt.kern.leave()
         return OK

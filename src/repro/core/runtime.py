@@ -571,9 +571,6 @@ class PthreadsRuntime:
         elif op_class is Invoke:
             self._push_invoke(tcb, op)
             tcb.cpu_cycles += clock.cycles - started
-        elif isinstance(op, (Work, LibCall, SysCall, Invoke)):
-            # Subclassed ops take the generic (slower) dispatch.
-            self._step_op_subclass(tcb, frame, op, started)
         else:
             raise ProgramCrash(
                 frame.name, TypeError("bad op yielded: %r" % (op,))
@@ -602,29 +599,10 @@ class PthreadsRuntime:
         elif op_class is Invoke:
             self._push_invoke(tcb, op)
             tcb.cpu_cycles += clock.cycles - started
-        elif isinstance(op, (Work, LibCall, SysCall, Invoke)):
-            self._step_op_subclass(tcb, frame, op, started)
         else:
             raise ProgramCrash(
                 frame.name, TypeError("bad op yielded: %r" % (op,))
             )
-
-    def _step_op_subclass(
-        self, tcb: Tcb, frame: Frame, op: Any, started: int
-    ) -> None:
-        clock = self.world.clock
-        if isinstance(op, Work):
-            frame.remaining_work = op.cycles
-            self._do_work(tcb, frame)
-        elif isinstance(op, LibCall):
-            self._libcall(tcb, frame, op)
-            tcb.cpu_cycles += clock.cycles - started
-        elif isinstance(op, SysCall):
-            self._unix_syscall(tcb, frame, op)
-            tcb.cpu_cycles += clock.cycles - started
-        else:
-            self._push_invoke(tcb, op)
-            tcb.cpu_cycles += clock.cycles - started
 
     def _do_work(self, tcb: Tcb, frame: Frame) -> None:
         """Burn a compute burst, splitting it at asynchronous events."""

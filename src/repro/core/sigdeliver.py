@@ -47,10 +47,6 @@ class SignalDelivery:
 
     def __init__(self, runtime: "PthreadsRuntime") -> None:
         self.rt = runtime
-        # Watcher-free fast-path charges (see LibKernel.__init__).
-        table = runtime.world._costs
-        self._c_recipient = table[costs.SIG_RECIPIENT_RULES]
-        self._c_action = table[costs.SIG_ACTION_RULES]
         self.delivered_to_threads = 0
         self.pended_on_process = 0
         self._rechecking = False
@@ -61,10 +57,7 @@ class SignalDelivery:
         """Entry from the universal handler / deferred-signal drain."""
         rt = self.rt
         world = rt.world
-        if world.clock._watchers:
-            world.spend(costs.SIG_RECIPIENT_RULES, fire=False)
-        else:
-            world.clock.cycles += self._c_recipient
+        world.spend(costs.SIG_RECIPIENT_RULES, fire=False)
 
         # Timer expirations have library-internal armers to unpack
         # before the generic rules.
@@ -135,10 +128,7 @@ class SignalDelivery:
     def deliver_to_thread(self, tcb: Tcb, sig: int, cause: SigCause) -> None:
         rt = self.rt
         world = rt.world
-        if world.clock._watchers:
-            world.spend(costs.SIG_ACTION_RULES, fire=False)
-        else:
-            world.clock.cycles += self._c_action
+        world.spend(costs.SIG_ACTION_RULES, fire=False)
         self.delivered_to_threads += 1
         if world.trace is not None:
             world.emit("signal-thread", thread=tcb.name, sig=sig)

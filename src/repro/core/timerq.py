@@ -51,8 +51,6 @@ class TimerOps(LibraryOps):
         self._armed_for: Optional[int] = None
         self._draining = False
         self.alarms_taken = 0
-        # Watcher-free fast-path charge (see LibKernel.__init__).
-        self._c_tick = runtime.world._costs[costs.TIMER_TICK]
 
     # -- public: thread sleep ----------------------------------------------------
 
@@ -65,10 +63,7 @@ class TimerOps(LibraryOps):
             return BLOCKED
         rt.kern.enter()
         world = rt.world
-        if world.clock._watchers:
-            world.spend(costs.TIMER_TICK, fire=False)
-        else:
-            world.clock.cycles += self._c_tick
+        world.spend(costs.TIMER_TICK, fire=False)
         record = rt.block_current(kind="delay", obj=None, interruptible=True)
         # One wake-me closure per thread, built on first delay.
         wake = tcb._wake_cb

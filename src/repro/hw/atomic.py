@@ -221,7 +221,6 @@ class RestartableSequence:
         self, clock: VirtualClock, model: CostModel, name: str = "ras"
     ) -> None:
         self._clock = clock
-        self._model = model
         #: One-instruction charge, resolved once (the per-step lookup
         #: would otherwise dominate the mutex fast path).
         self._insn = model.cost(costs.INSN)
@@ -255,18 +254,8 @@ class RestartableSequence:
         """
         if not steps:
             raise ValueError("restartable sequence needs at least one step")
-        if self.interrupt_hook is None:
-            # No interruption source installed: the sequence cannot
-            # restart, so run it straight through (same charges, same
-            # step order as the general loop below).
-            self.runs += 1
-            clock = self._clock
-            insn = self._insn
-            result = None
-            for step in steps:
-                clock.advance(insn)
-                result = step()
-            return result
+        clock = self._clock
+        insn = self._insn
         attempt = 0
         while True:
             self.runs += 1
@@ -283,7 +272,7 @@ class RestartableSequence:
                         self.restarts += 1
                         interrupted = True
                         break
-                self._clock.advance(self._model.cost(costs.INSN))
+                clock.advance(insn)
                 result = step()
             if not interrupted:
                 return result

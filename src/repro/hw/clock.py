@@ -6,9 +6,11 @@ machine converts cycles to microseconds, which is the unit the paper's
 Table 2 reports.
 
 The clock also supports *watchers*: callbacks fired whenever the clock
-advances, used by the event queue to deliver timer expirations and
-external signals at the correct virtual instant (splitting long
-computation bursts exactly as a hardware interrupt would).
+advances with the ``(before, after)`` cycle counts.  The cycle profiler
+(``repro.obs.profile``) is the only user; it attributes every advance
+to a category and a thread.  Timer expirations and external signals
+do not use watchers -- the event queue fires them from ``World.spend``
+and the executor's work-splitting loop.
 """
 
 from __future__ import annotations

@@ -15,8 +15,9 @@ Examples::
 from __future__ import annotations
 
 import argparse
+import math
 import sys
-from typing import List, Optional
+from typing import Any, Callable, List, Optional
 
 from repro.fleet import FleetStats
 from repro.net.loadgen import ARRIVALS
@@ -24,12 +25,40 @@ from repro.net.scenario import compare_scenarios, run_scenario
 from repro.net.servers import ARCHITECTURES
 
 
+def _number(kind: type, positive: bool) -> Callable[[str], Any]:
+    """An argparse ``type``: parse ``kind``, then require a finite
+    value that is > 0 (``positive``) or >= 0."""
+
+    def parse(text: str) -> Any:
+        try:
+            value = kind(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                "not %s: %r" % ("an integer" if kind is int else "a number",
+                                text)
+            ) from None
+        if not (math.isfinite(value) and (value > 0 if positive
+                                          else value >= 0)):
+            raise argparse.ArgumentTypeError(
+                "must be %s: %r" % ("> 0" if positive else ">= 0", text)
+            )
+        return value
+
+    return parse
+
+
+_COUNT = _number(int, positive=True)
+_DURATION = _number(float, positive=True)
+_CYCLES = _number(int, positive=False)
+_WAIT = _number(float, positive=False)
+
+
 def _add_scenario_args(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--clients", type=int, default=50,
+    sub.add_argument("--clients", type=_COUNT, default=50,
                      help="number of load-generator clients")
-    sub.add_argument("--requests", type=int, default=3,
+    sub.add_argument("--requests", type=_COUNT, default=3,
                      help="requests per client connection")
-    sub.add_argument("--workers", type=int, default=16,
+    sub.add_argument("--workers", type=_COUNT, default=16,
                      help="worker threads (pool architecture)")
     sub.add_argument("--seed", type=int, default=42,
                      help="world seed (drives arrival times)")
@@ -37,19 +66,19 @@ def _add_scenario_args(sub: argparse.ArgumentParser) -> None:
                      help="machine model")
     sub.add_argument("--arrival", choices=ARRIVALS, default="poisson",
                      help="client inter-arrival process")
-    sub.add_argument("--mean-gap-us", type=float, default=40.0,
+    sub.add_argument("--mean-gap-us", type=_DURATION, default=40.0,
                      help="mean inter-arrival gap (us)")
-    sub.add_argument("--burst", type=int, default=8,
+    sub.add_argument("--burst", type=_COUNT, default=8,
                      help="clients per burst (bursty arrivals)")
-    sub.add_argument("--think-us", type=float, default=150.0,
+    sub.add_argument("--think-us", type=_WAIT, default=150.0,
                      help="client think time between requests (us)")
-    sub.add_argument("--service-cycles", type=int, default=400,
+    sub.add_argument("--service-cycles", type=_CYCLES, default=400,
                      help="application cycles per request")
-    sub.add_argument("--latency-us", type=float, default=60.0,
+    sub.add_argument("--latency-us", type=_DURATION, default=60.0,
                      help="one-way link latency (us)")
-    sub.add_argument("--req-bytes", type=int, default=256,
+    sub.add_argument("--req-bytes", type=_COUNT, default=256,
                      help="request size (bytes)")
-    sub.add_argument("--resp-bytes", type=int, default=1024,
+    sub.add_argument("--resp-bytes", type=_COUNT, default=1024,
                      help="response size (bytes)")
     sub.add_argument("--first-class", choices=("auto", "on", "off"),
                      default="auto",

@@ -333,9 +333,6 @@ class SegmentSpace:
             elif op_class is Invoke:
                 rt._push_invoke(tcb, op)
                 tcb.cpu_cycles += clock.cycles - pre_clock
-            elif isinstance(op, (Work, LibCall, SysCall, Invoke)):
-                rt._step_op_subclass(tcb, frame, op, pre_clock)
-                break  # subclassed ops are never certified
             else:
                 raise ProgramCrash(
                     frame.name, TypeError("bad op yielded: %r" % (op,))

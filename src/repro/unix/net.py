@@ -91,8 +91,8 @@ class Socket:
 
     ``kernel_owned`` marks remote endpoints driven by the load
     generator: they live entirely inside the kernel, consume arriving
-    messages through their ``owner`` record (or the legacy ``on_rx``
-    callback) immediately -- no buffering, no library thread.
+    messages through their ``owner`` record immediately -- no
+    buffering, no library thread.
 
     Memory discipline: at the sf100 scale fixture one run holds a few
     hundred thousand live sockets, so the class is ``__slots__``-based
@@ -109,7 +109,6 @@ class Socket:
         "peer", "rx", "rx_bytes", "rx_inflight", "rx_capacity", "rx_eof",
         "pending_recvs", "waiting_senders", "pending_connect",
         "selectors", "watchers", "owner",
-        "on_connected", "on_rx", "on_eof",
     )
 
     def __init__(
@@ -138,12 +137,8 @@ class Socket:
         # select/poll watchers and epoll registrations ((epoll, fd)).
         self.selectors: Optional[List[NetRequest]] = None
         self.watchers: Optional[List[Tuple["EpollInstance", int]]] = None
-        # Kernel-resident state record (load generator) and the legacy
-        # per-callback hooks for kernel-owned endpoints.
+        # Kernel-resident state record of a kernel-owned endpoint.
         self.owner: Optional[Any] = None
-        self.on_connected: Optional[Callable[["Socket"], None]] = None
-        self.on_rx: Optional[Callable[["Socket", Message], None]] = None
-        self.on_eof: Optional[Callable[["Socket"], None]] = None
 
     def readable(self) -> bool:
         """select()'s readiness rule for this socket."""
@@ -562,9 +557,6 @@ class NetStack:
     def remote_connect(
         self,
         port: int,
-        on_connected: Optional[Callable] = None,
-        on_rx: Optional[Callable] = None,
-        on_eof: Optional[Callable] = None,
         owner: Optional[Any] = None,
     ) -> Optional[Socket]:
         """A remote host connects: no syscall charge (it is not this
@@ -572,8 +564,8 @@ class NetStack:
 
         ``owner`` attaches a kernel-resident state record (an object
         with ``connected``/``rx``/``eof`` methods, see
-        :class:`ResidentClient`); it takes precedence over the per-
-        callback hooks and costs no closure per event.
+        :class:`ResidentClient`).  Without one the endpoint discards
+        what it receives.
         """
         listener = self.listeners.get(port)
         if listener is None or not self._admit_connection(listener):
@@ -582,9 +574,6 @@ class NetStack:
         listener.claims += 1
         client = Socket(self, self.rx_capacity, kernel_owned=True)
         client.owner = owner
-        client.on_connected = on_connected
-        client.on_rx = on_rx
-        client.on_eof = on_eof
         server_side = Socket(self, self.rx_capacity)
         self._pair(client, server_side, port)
         client.state = "connecting"
@@ -660,8 +649,6 @@ class NetStack:
         elif client.pending_connect is not None:
             request, client.pending_connect = client.pending_connect, None
             self._complete(request, client)
-        elif client.on_connected is not None:
-            client.on_connected(client)
 
     def _accept_pop(self, sock: Socket) -> Optional[Socket]:
         if not sock.accept_queue:
@@ -704,8 +691,6 @@ class NetStack:
             owner = dst.owner
             if owner is not None:
                 owner.rx(dst, msg)
-            elif dst.on_rx is not None:
-                dst.on_rx(dst, msg)
             return
         if dst.pending_recvs:
             # Direct handoff to the parked receiver: the bytes never
@@ -770,8 +755,6 @@ class NetStack:
             owner = sock.owner
             if owner is not None:
                 owner.eof(sock)
-            elif sock.on_eof is not None:
-                sock.on_eof(sock)
             return
         # Buffered data drains first; EOF only wakes an *empty* socket.
         if not sock.rx:

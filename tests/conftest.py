@@ -7,6 +7,7 @@ the shape almost every integration test wants.
 
 from __future__ import annotations
 
+from types import SimpleNamespace
 from typing import Any, Callable, Optional
 
 import pytest
@@ -30,6 +31,14 @@ def make_runtime(
     )
     return PthreadsRuntime(
         model=model, seed=seed, config=config, policy=policy, trace=trace
+    )
+
+
+def rx_owner(on_rx: Callable) -> SimpleNamespace:
+    """A minimal owner record for a kernel-owned socket: each arriving
+    message goes to ``on_rx(sock, msg)``; connect and EOF are ignored."""
+    return SimpleNamespace(
+        connected=lambda sock: None, rx=on_rx, eof=lambda sock: None
     )
 
 

@@ -12,7 +12,7 @@
 """
 
 from repro.core.errors import OK
-from tests.conftest import make_runtime
+from tests.conftest import make_runtime, rx_owner
 
 
 def _disk_workload(fd):
@@ -73,7 +73,9 @@ def test_disk_fd_and_socket_fd_share_one_descriptor_space():
         err = yield pt.listen(sock_fd, 2)
         assert err == OK
         got = []
-        rt.net.remote_connect(80, on_rx=lambda s, m: got.append(m.nbytes))
+        rt.net.remote_connect(
+            80, owner=rx_owner(lambda s, m: got.append(m.nbytes))
+        )
         err, conn_fd = yield pt.accept(sock_fd)
         assert err == OK
         out["sock"] = yield pt.write(conn_fd, 77)  # socket: send

@@ -105,6 +105,33 @@ def test_cli_serve_is_deterministic(capsys):
     assert first == second
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["serve", "--latency-us", "0"],
+        ["serve", "--mean-gap-us", "-5"],
+        ["serve", "--clients", "-3"],
+        ["serve", "--arch", "pool", "--workers", "0"],
+        ["compare", "--workers", "0"],
+        ["serve", "--requests", "0"],
+        ["serve", "--burst", "0"],
+        ["serve", "--req-bytes", "0"],
+        ["compare", "--resp-bytes", "-1"],
+        ["serve", "--think-us", "-1"],
+        ["serve", "--service-cycles", "-1"],
+        ["serve", "--latency-us", "nan"],
+    ],
+)
+def test_cli_rejects_bad_numbers_at_parse_time(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        net_cli(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    last = err.strip().splitlines()[-1]
+    assert "error: argument %s: must be" % argv[-2] in last
+
+
 def test_cli_compare_lists_all_architectures(capsys):
     rc = net_cli(
         ["compare", "--clients", "4", "--requests", "1", "--workers", "2"]

@@ -17,7 +17,7 @@ from repro.core.errors import (
     ENOTCONN,
     OK,
 )
-from tests.conftest import make_runtime
+from tests.conftest import make_runtime, rx_owner
 
 
 def _listening(pt, port=80, backlog=8):
@@ -245,7 +245,7 @@ def test_read_write_route_to_sockets_through_the_fd_table():
         lfd = yield from _listening(pt)
         got = []
         remote = rt.net.remote_connect(
-            80, on_rx=lambda s, m: got.append(m.nbytes)
+            80, owner=rx_owner(lambda s, m: got.append(m.nbytes))
         )
         err, cfd = yield pt.accept(lfd)
         assert err == OK

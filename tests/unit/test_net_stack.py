@@ -9,7 +9,7 @@ top (that side lives in ``tests/integration/test_netlib.py``).
 """
 
 from repro.unix.net import EOF, Message
-from tests.conftest import make_runtime
+from tests.conftest import make_runtime, rx_owner
 
 
 def _stack(latency_us=80.0, **kwargs):
@@ -157,7 +157,9 @@ class TestDataPath:
         rt, stack = _stack()
         _listener(stack)
         got = []
-        client = stack.remote_connect(80, on_rx=lambda s, m: got.append(m))
+        client = stack.remote_connect(
+            80, owner=rx_owner(lambda s, m: got.append(m))
+        )
         _drain(rt.world)
         server = client.peer
         stack.sys_send(server, 64, {"tag": "reply"})

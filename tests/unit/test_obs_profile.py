@@ -5,8 +5,12 @@ profiler is attached lands in exactly one category, so the category
 total equals the clock span *exactly* -- no sampling error, no drift.
 """
 
+import json
+from pathlib import Path
+
 import pytest
 
+from repro.bench.workloads import WORKLOADS
 from repro.core.attr import ThreadAttr
 from repro.core.config import RuntimeConfig
 from repro.core.runtime import PthreadsRuntime
@@ -188,3 +192,51 @@ class TestVirtualTimeUnchanged:
 
         obs, rt = run_observed(main)
         assert rt.world.clock.cycles == bare_run()
+
+
+GOLDEN_PROFILE = (
+    Path(__file__).parent.parent / "data" / "golden_profile.json"
+)
+
+
+def _profile(factory, priority):
+    obs = Observability()
+    rt = PthreadsRuntime(
+        model="sparc-ipx",
+        config=RuntimeConfig(timeslice_us=None, pool_size=64),
+        obs=obs,
+    )
+    rt.main(factory(2), priority=priority)
+    rt.run()
+    snap = obs.profiler.snapshot()
+    return {
+        "by_category": snap["by_category"],
+        "by_thread": snap["by_thread"],
+        "clock_cycles": rt.world.clock.cycles,
+    }
+
+
+class TestGoldenProfile:
+    """Pins the per-category and per-thread split, not just the total.
+
+    Every library charge goes through ``World.spend``, so the profiler
+    observes the same code path the benchmarks time; a charge that
+    moves between categories or threads changes this snapshot.
+    Regenerate it only for a cost-model or semantics change::
+
+        PYTHONPATH=src python - <<'EOF'
+        import json
+        from repro.bench.workloads import WORKLOADS
+        from tests.unit.test_obs_profile import GOLDEN_PROFILE, _profile
+        out = {n: _profile(f, p) for n, (f, p) in WORKLOADS.items()}
+        json.dump(out, open(GOLDEN_PROFILE, "w"), indent=1, sort_keys=True)
+        EOF
+    """
+
+    def test_workloads_match_snapshot(self):
+        golden = json.loads(GOLDEN_PROFILE.read_text())
+        fresh = {
+            name: _profile(factory, priority)
+            for name, (factory, priority) in WORKLOADS.items()
+        }
+        assert fresh == golden
