@@ -138,9 +138,10 @@ NET_CACHE_POOL_SIZE = 64
 #: concurrency equals the client count.  This is the regime the epoll
 #: interest list exists for -- a huge watched set that is mostly idle
 #: at any instant -- and the regime where select's O(n) scan per
-#: wakeup stops amortizing.  ``archs`` is part of the fixture because
-#: select's per-call fd-set rebuild is host-prohibitive past ~10^3
-#: registered descriptors; sf10 up runs the epoll dispatcher only.
+#: wakeup stops amortizing.  ``archs`` is part of the fixture: sf10 up
+#: runs the epoll dispatcher only, because the archived sf baseline has
+#: no select rows there (select's host cost at sf10 is now on par with
+#: epoll's, see docs/NETWORKING.md).
 NET_SF_FIXTURES: Dict[str, Dict[str, Any]] = {
     "sf1": dict(
         clients=1000,

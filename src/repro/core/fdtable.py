@@ -16,7 +16,7 @@ bit-identically to one built before this table existed (the legacy
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional
+from typing import Any, Dict, List, Optional
 
 #: First descriptor handed out (0-2 belong to stdin/stdout/stderr).
 FIRST_FD = 3
@@ -50,6 +50,11 @@ class FdTable:
     def get(self, fd: int) -> Optional[Any]:
         """The object servicing ``fd`` (None when unmapped)."""
         return self._entries.get(fd)
+
+    def lookup(self, fds: List[int]) -> Dict[int, Optional[Any]]:
+        """Resolve a descriptor set: fd -> servicing object (None when
+        unmapped), each fd once, in first-seen order."""
+        return dict(zip(fds, map(self._entries.get, fds)))
 
     def close(self, fd: int) -> Optional[Any]:
         """Unmap ``fd``; returns the evicted object (None if unmapped).

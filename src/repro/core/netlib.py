@@ -280,23 +280,21 @@ class NetOps(LibraryOps):
         self, tcb: Tcb, fds: List[int], timeout_us: Optional[float] = None
     ) -> Any:
         rt = self.rt
-        entries = []
-        for fd in fds:
-            sock = self._sock(fd)
-            if sock is None:
-                return (EBADF, [])
-            entries.append((fd, sock))
+        # An fd_set is a set: a repeated fd is reported and charged once.
+        fdset = rt.fds.lookup(fds)
+        if not {Socket}.issuperset(map(type, fdset.values())):
+            return (EBADF, [])  # unmapped, negative or non-socket fd
         if rt.cancel_ops.act_if_pending(tcb):
             return BLOCKED
         rt.kern.enter()
-        ready = rt.net.sys_select(entries)
+        ready = rt.net.sys_select(fdset)
         if ready:
             rt.kern.leave()
             return (OK, ready)
         if timeout_us is not None and timeout_us <= 0:
             rt.kern.leave()
             return (OK, [])
-        request = rt.net.wait_select(entries, tcb)
+        request = rt.net.wait_select(fdset, tcb)
         record = self._park(tcb, rt.net, request, "select", -1)
         if timeout_us is not None:
             handle = rt.timer_ops.add_timeout(

@@ -159,9 +159,8 @@ def cmd_compare(args: argparse.Namespace) -> int:
                 print("unknown architecture %r" % arch, file=sys.stderr)
                 return 2
     elif args.sf:
-        # Fixture-scoped default: select's per-call fd-set rebuild is
-        # host-prohibitive past ~10^3 registered descriptors, so each
-        # fixture names the architectures it can afford.
+        # Fixture-scoped default: each fixture names the architectures
+        # its archived baseline covers.
         archs = list(_sf_archs(args.sf))
     else:
         archs = sorted(ARCHITECTURES)

@@ -38,6 +38,7 @@ from __future__ import annotations
 import itertools
 from collections import deque
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.hw import costs
@@ -77,7 +78,7 @@ class NetRequest:
     issue_time: int
     nbytes: int = 0
     meta: Optional[Dict[str, Any]] = None
-    entries: Optional[List[Tuple[int, "Socket"]]] = None  # select only
+    entries: Optional[Dict[int, "Socket"]] = None  # select only: fd -> socket
     epoll: Optional["EpollInstance"] = None  # epoll_wait only
     finisher: Optional[Callable[[Any], Any]] = None
     done: bool = False
@@ -101,12 +102,19 @@ class Socket:
     ``pending_recvs``/``waiting_senders`` on first use, and the
     listening-side queues appear when ``listen()`` is called.  Every
     reader treats ``None`` as the empty queue.
+
+    ``ready`` is select/epoll's readiness rule kept as one field: a
+    listening socket is ready when its accept queue is non-empty, any
+    other socket when it has buffered rx or has seen EOF.  Only
+    :class:`NetStack` writes it, at the transitions that can change its
+    value, so a readiness scan reads one attribute per descriptor.
     """
 
     __slots__ = (
         "sid", "stack", "state", "port", "kernel_owned",
         "backlog", "claims", "accept_queue", "pending_accepts",
         "peer", "rx", "rx_bytes", "rx_inflight", "rx_capacity", "rx_eof",
+        "ready",
         "pending_recvs", "waiting_senders", "pending_connect",
         "selectors", "watchers", "owner",
     )
@@ -131,6 +139,7 @@ class Socket:
         self.rx_inflight = 0  # bytes transmitted but not yet delivered
         self.rx_capacity = rx_capacity
         self.rx_eof = False
+        self.ready = False
         self.pending_recvs: Optional[deque] = None  # NetRequests
         self.waiting_senders: Optional[deque] = None  # NetRequests
         self.pending_connect: Optional[NetRequest] = None
@@ -139,12 +148,6 @@ class Socket:
         self.watchers: Optional[List[Tuple["EpollInstance", int]]] = None
         # Kernel-resident state record of a kernel-owned endpoint.
         self.owner: Optional[Any] = None
-
-    def readable(self) -> bool:
-        """select()'s readiness rule for this socket."""
-        if self.state == "listening":
-            return bool(self.accept_queue)
-        return bool(self.rx) or self.rx_eof
 
     def __repr__(self) -> str:
         return "Socket(#%d, %s, port=%s, rx=%d)" % (
@@ -183,6 +186,12 @@ class EpollInstance:
 
 #: EOF sentinel returned by ``sys_recv`` on a half-closed socket.
 EOF = None
+
+def _ready_fds(fdset: Dict[int, Socket]) -> List[int]:
+    """The fds of ``fdset`` whose socket is ready, in ``fdset`` order."""
+    return list(
+        itertools.compress(fdset, map(attrgetter("ready"), fdset.values()))
+    )
 
 
 class NetStack:
@@ -328,19 +337,20 @@ class NetStack:
             return EOF
         return "block"
 
-    def sys_select(self, entries: List[Tuple[int, Socket]]) -> List[int]:
-        """One readiness scan over ``entries`` ((fd, socket) pairs).
+    def sys_select(self, fdset: Dict[int, Socket]) -> List[int]:
+        """One readiness scan over ``fdset`` (fd -> socket, each fd once).
 
         Charged as one syscall plus a per-descriptor probe, like the
-        real thing; returns the ready fds (possibly empty).
+        real thing; returns the ready fds in ``fdset`` order (possibly
+        empty).  The scan itself reads each socket's ``ready`` field.
         """
         self._kernel._enter("select", costs.SELECT_WORK)
-        if entries:
+        if fdset:
             self._world.spend(
-                costs.SELECT_PER_FD, times=len(entries), fire=False
+                costs.SELECT_PER_FD, times=len(fdset), fire=False
             )
         self.select_calls += 1
-        return [fd for fd, sock in entries if sock.readable()]
+        return _ready_fds(fdset)
 
     def sys_close(self, sock: Socket) -> None:
         self._kernel._enter("net_close", costs.SOCKET_WORK)
@@ -369,7 +379,7 @@ class NetStack:
             if sock.watchers is None:
                 sock.watchers = []
             sock.watchers.append((ep, fd))
-            if sock.readable():
+            if sock.ready:
                 # Level-triggered add: already-buffered data must not
                 # need a fresh edge to surface.
                 self._epoll_mark(ep, fd, sock)
@@ -406,7 +416,7 @@ class NetStack:
             stale: List[int] = []
             interest = ep.interest
             for fd, sock in ep.ready.items():
-                if interest.get(fd) is sock and sock.readable():
+                if interest.get(fd) is sock and sock.ready:
                     ready_fds.append(fd)
                 else:
                     stale.append(fd)
@@ -510,12 +520,14 @@ class NetStack:
         self.backpressure_stalls += 1
         return request
 
-    def wait_select(self, entries: List[Tuple[int, Socket]],
+    def wait_select(self, fdset: Dict[int, Socket],
                     requester: Any) -> NetRequest:
+        """Park a select caller on every socket of ``fdset``; the stack
+        keeps the mapping until the request completes or is cancelled."""
         request = self._new_request(
-            "select", None, requester, None, entries=list(entries)
+            "select", None, requester, None, entries=fdset
         )
-        for __, sock in entries:
+        for sock in fdset.values():
             if sock.selectors is None:
                 sock.selectors = []
             sock.selectors.append(request)
@@ -634,6 +646,7 @@ class NetStack:
         client.state = "connected"
         self.connections_opened += 1
         listener.accept_queue.append((server_side, self._world.now))
+        listener.ready = True
         self.accept_depths.append(len(listener.accept_queue))
         if listener.pending_accepts:
             request = listener.pending_accepts.popleft()
@@ -654,6 +667,7 @@ class NetStack:
         if not sock.accept_queue:
             return None
         conn, enqueued_at = sock.accept_queue.popleft()
+        sock.ready = bool(sock.accept_queue)
         self.accept_waits.append(self._world.now - enqueued_at)
         return conn
 
@@ -665,6 +679,7 @@ class NetStack:
     def _rx_pop(self, sock: Socket) -> Message:
         msg = sock.rx.popleft()
         sock.rx_bytes -= msg.nbytes
+        sock.ready = bool(sock.rx) or sock.rx_eof
         return msg
 
     def _transmit(self, dst: Socket, nbytes: int,
@@ -705,6 +720,7 @@ class NetStack:
             dst.rx = deque()
         dst.rx.append(msg)
         dst.rx_bytes += msg.nbytes
+        dst.ready = True
         self._notify_selectors(dst)
         if dst.watchers:
             self._epoll_edges(dst)
@@ -724,6 +740,7 @@ class NetStack:
             return
         was_listening = sock.state == "listening"
         sock.state = "closed"
+        sock.ready = bool(sock.rx) or sock.rx_eof
         if was_listening and self.listeners.get(sock.port) is sock:
             del self.listeners[sock.port]
         # Purge readiness state *now*, before the fd is recycled: a
@@ -750,6 +767,7 @@ class NetStack:
         if sock.state == "closed" or sock.rx_eof:
             return
         sock.rx_eof = True
+        sock.ready = True
         self.eof_delivered += 1
         if sock.kernel_owned:
             owner = sock.owner
@@ -792,13 +810,13 @@ class NetStack:
         for request in list(sock.selectors):
             if request.done or request.cancelled:
                 continue
-            ready = [fd for fd, s in request.entries if s.readable()]
+            ready = _ready_fds(request.entries)
             if ready:
                 self._deregister_select(request)
                 self._complete(request, ready)
 
     def _deregister_select(self, request: NetRequest) -> None:
-        for __, sock in request.entries:
+        for sock in request.entries.values():
             if sock.selectors and request in sock.selectors:
                 sock.selectors.remove(request)
 

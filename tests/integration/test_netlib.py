@@ -301,3 +301,79 @@ def test_socket_without_a_stack_returns_minus_one():
     rt.main(main, priority=100)
     rt.run()
     assert out["fd"] == -1
+
+
+def test_select_reports_and_charges_a_repeated_fd_once():
+    """An fd_set is a set: listing a descriptor twice reports it once
+    and charges one probe, exactly like listing it once."""
+    out = {}
+
+    def main(pt, fds_of):
+        rt = pt.runtime
+        lfd = yield from _listening(pt)
+        rt.net.remote_connect(80)
+        yield pt.delay_us(200)  # the connection waits in the accept queue
+        t0 = rt.world.now
+        out["ready"] = yield pt.select(fds_of(lfd), timeout_us=0)
+        out["cycles"] = rt.world.now - t0
+        yield pt.close(lfd)
+
+    def run(fds_of):
+        out.clear()
+        rt = make_runtime()
+        rt.add_net_stack(latency_us=40.0)
+        rt.main(main, fds_of, priority=100)
+        rt.run()
+        return dict(out)
+
+    once = run(lambda lfd: [lfd])
+    twice = run(lambda lfd: [lfd, lfd, lfd])
+    assert once["ready"] == (OK, [3])
+    assert twice == once
+
+
+@pytest.mark.parametrize("bad", ["unmapped", "negative", "epoll", "disk"])
+def test_select_rejects_a_non_socket_fd_before_entering_the_kernel(bad):
+    out = {}
+
+    def main(pt):
+        rt = pt.runtime
+        lfd = yield from _listening(pt)
+        if bad == "unmapped":
+            bad_fd = 99
+        elif bad == "negative":
+            bad_fd = -1
+        elif bad == "epoll":
+            bad_fd = yield pt.epoll_create()
+        else:
+            bad_fd = rt.fds.alloc(rt.io_devices["disk0"])
+        calls = rt.net.select_calls
+        out["got"] = yield pt.select([lfd, bad_fd], timeout_us=100.0)
+        out["calls"] = rt.net.select_calls - calls
+        yield pt.close(lfd)
+
+    rt = make_runtime()
+    rt.add_io_device("disk0", latency_us=100.0)
+    rt.add_net_stack()
+    rt.main(main, priority=100)
+    rt.run()
+    assert out["got"] == (EBADF, [])
+    assert out["calls"] == 0
+
+
+def test_select_on_an_empty_set_waits_out_its_timeout():
+    out = {}
+
+    def main(pt):
+        rt = pt.runtime
+        t0 = rt.world.now_us
+        out["got"] = yield pt.select([], timeout_us=100.0)
+        out["dt"] = rt.world.now_us - t0
+
+    rt = make_runtime()
+    rt.add_net_stack()
+    rt.main(main, priority=100)
+    rt.run()
+    assert out["got"] == (OK, [])
+    assert out["dt"] >= 100.0
+    assert rt.net.select_calls == 1

@@ -218,12 +218,12 @@ class TestSelect:
         rt, stack = _stack()
         listener = _listener(stack)
         a, b = _connected_pair(stack)
-        entries = [(3, listener), (4, b)]
-        assert stack.sys_select(entries) == []
+        fdset = {3: listener, 4: b}
+        assert stack.sys_select(fdset) == []
         stack.remote_connect(80)
         stack.sys_send(a, 10, None)
         _drain(rt.world)
-        assert stack.sys_select(entries) == [3, 4]
+        assert stack.sys_select(fdset) == [3, 4]
         assert stack.select_calls == 2
 
     def test_eof_makes_a_socket_readable(self):
@@ -231,14 +231,14 @@ class TestSelect:
         a, b = _connected_pair(stack)
         stack.sys_close(a)
         _drain(rt.world)
-        assert b.readable()
-        assert stack.sys_select([(5, b)]) == [5]
+        assert b.ready
+        assert stack.sys_select({5: b}) == [5]
 
     def test_per_descriptor_probe_is_charged(self):
         rt, stack = _stack()
         pairs = [_connected_pair(stack) for _ in range(4)]
-        one = [(3, pairs[0][1])]
-        many = [(3 + i, b) for i, (a, b) in enumerate(pairs)]
+        one = {3: pairs[0][1]}
+        many = {3 + i: b for i, (a, b) in enumerate(pairs)}
         t0 = rt.world.now
         stack.sys_select(one)
         cost_one = rt.world.now - t0
