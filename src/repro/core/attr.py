@@ -58,7 +58,7 @@ class MutexAttr:
     ceiling (SRP); ``prioceiling`` is required for the ceiling protocol
     and must be at least the highest priority of any locking thread
     (the paper argues the standard should *require* this; we check it
-    at lock time when ``RuntimeConfig.check_ceilings`` is on).
+    at lock time and refuse with EINVAL).
     """
 
     protocol: str = config.PRIO_NONE

@@ -30,31 +30,6 @@ EISCONN = 56
 EADDRINUSE = 48
 ECONNREFUSED = 61
 
-_NAMES = {
-    OK: "OK",
-    EPERM: "EPERM",
-    ESRCH: "ESRCH",
-    EINTR: "EINTR",
-    EAGAIN: "EAGAIN",
-    ENOMEM: "ENOMEM",
-    EBUSY: "EBUSY",
-    EINVAL: "EINVAL",
-    EDEADLK: "EDEADLK",
-    ETIMEDOUT: "ETIMEDOUT",
-    ENOSPC: "ENOSPC",
-    EBADF: "EBADF",
-    EPIPE: "EPIPE",
-    ENOTCONN: "ENOTCONN",
-    EISCONN: "EISCONN",
-    EADDRINUSE: "EADDRINUSE",
-    ECONNREFUSED: "ECONNREFUSED",
-}
-
-
-def errno_name(err: int) -> str:
-    """Symbolic name of an error number (for messages and traces)."""
-    return _NAMES.get(err, "E#%d" % err)
-
 
 class PthreadsInternalError(Exception):
     """The library detected a broken internal invariant.

@@ -130,7 +130,7 @@ class MutexOps(LibraryOps):
             return EINVAL
         world = rt.world
         world.spend(costs.PROTOCOL_CHECK, fire=False)
-        if mutex.protocol == cfg.PRIO_PROTECT and rt.config.check_ceilings:
+        if mutex.protocol == cfg.PRIO_PROTECT:
             if tcb.base_priority > mutex.prioceiling:
                 # The paper: locking above the ceiling should be an
                 # error, otherwise the protocol's bound is void.
@@ -147,7 +147,7 @@ class MutexOps(LibraryOps):
         if mutex.destroyed:
             return EINVAL
         rt.world.spend(costs.PROTOCOL_CHECK, fire=False)
-        if mutex.protocol == cfg.PRIO_PROTECT and rt.config.check_ceilings:
+        if mutex.protocol == cfg.PRIO_PROTECT:
             if tcb.base_priority > mutex.prioceiling:
                 return EINVAL
         if mutex.owner is tcb:

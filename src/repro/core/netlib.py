@@ -162,6 +162,8 @@ class NetOps(LibraryOps):
         ep = self._epoll(epfd)
         if ep is None:
             return (EBADF, [])
+        if maxevents is not None and maxevents <= 0:
+            return (EINVAL, [])
         if rt.cancel_ops.act_if_pending(tcb):
             return BLOCKED
         rt.kern.enter()

@@ -145,9 +145,6 @@ class ReadyQueue:
     def all_at(self, priority: int) -> List[Tcb]:
         return list(self._levels.get(priority, ()))
 
-    def _levels_with_items(self) -> Iterator[int]:
-        return iter(self._index)
-
     def __repr__(self) -> str:
         parts = [
             "%d:[%s]" % (p, ",".join(t.name for t in self._levels[p]))

@@ -111,7 +111,7 @@ class PthreadsRuntime:
             self.world,
             self.heap,
             size=self.config.pool_size,
-            stack_size=self.config.default_stack_size,
+            stack_size=cfg.DEFAULT_STACK_SIZE,
         )
 
         #: The simulated UNIX global errno (switched by the dispatcher).
@@ -532,77 +532,70 @@ class PthreadsRuntime:
                     or table.get(gi.f_lasti) is not _SEG_BLACKLISTED
                 ) and segments.try_step(tcb, frame):
                     return  # step(s) performed, bookkeeping included
-        self.steps += 1
-        clock = self.world.clock
-        started = clock.cycles
-        # Frame.resume inlined: one generator step per executor step
-        # makes the extra call (and tuple) measurable.
-        try:
-            exc = frame.pending_exc
-            if exc is not None:
-                frame.pending_exc = None
-                op = frame.gen.throw(exc)
-            else:
-                value = frame.pending_value
-                frame.pending_value = None
-                op = frame.gen.send(value)
-        except StopIteration as stop:
-            self._frame_returned(tcb, frame, stop.value)
-            tcb.cpu_cycles += clock.cycles - started
-            return
-        except SimException as sim_exc:
-            self._frame_raised(tcb, frame, sim_exc)
-            tcb.cpu_cycles += clock.cycles - started
-            return
-        except ProgramCrash:
-            raise
-        except BaseException as crash:  # noqa: BLE001 - simulated fault
-            raise ProgramCrash(frame.name, crash) from crash
-        op_class = op.__class__
-        if op_class is Work:
-            frame.remaining_work = op.cycles
-            self._do_work(tcb, frame)
-        elif op_class is LibCall:
-            self._libcall(tcb, frame, op)
-            tcb.cpu_cycles += clock.cycles - started
-        elif op_class is SysCall:
-            self._unix_syscall(tcb, frame, op)
-            tcb.cpu_cycles += clock.cycles - started
-        elif op_class is Invoke:
-            self._push_invoke(tcb, op)
-            tcb.cpu_cycles += clock.cycles - started
-        else:
-            raise ProgramCrash(
-                frame.name, TypeError("bad op yielded: %r" % (op,))
-            )
+        self._interpret(tcb, frame)
 
-    def _dispatch_op(self, tcb: Tcb, frame: Frame, op: Any) -> None:
-        """Dispatch an op already obtained from the generator.
+    def _interpret(self, tcb: Tcb, frame: Frame, op: Any = None) -> Any:
+        """Interpret one thread step: resume, then dispatch the op.
 
-        The segment cache lands here when a replayed send yields an op
-        its compiled loop does not cover: the resume already happened,
-        so only the dispatch half of :meth:`_step_current` remains.
+        The only place a step is interpreted: the executor and the
+        segment cache's recorder, miss path and exits all land here.
+        ``frame``'s generator is resumed unless the caller hands in the
+        ``op`` it already yielded.  Returns the op, or None when the
+        resume ended the body.
         """
         self.steps += 1
         clock = self.world.clock
         started = clock.cycles
+        if op is None:
+            # Frame.resume inlined: one generator step per executor
+            # step makes the extra call (and tuple) measurable.
+            try:
+                exc = frame.pending_exc
+                if exc is not None:
+                    frame.pending_exc = None
+                    op = frame.gen.throw(exc)
+                else:
+                    value = frame.pending_value
+                    frame.pending_value = None
+                    op = frame.gen.send(value)
+            except BaseException as ended:  # noqa: BLE001 - classified below
+                self._resume_ended(tcb, frame, ended, started)
+                return None
         op_class = op.__class__
         if op_class is Work:
             frame.remaining_work = op.cycles
             self._do_work(tcb, frame)
-        elif op_class is LibCall:
+            return op
+        if op_class is LibCall:
             self._libcall(tcb, frame, op)
-            tcb.cpu_cycles += clock.cycles - started
         elif op_class is SysCall:
             self._unix_syscall(tcb, frame, op)
-            tcb.cpu_cycles += clock.cycles - started
         elif op_class is Invoke:
             self._push_invoke(tcb, op)
-            tcb.cpu_cycles += clock.cycles - started
         else:
             raise ProgramCrash(
                 frame.name, TypeError("bad op yielded: %r" % (op,))
             )
+        tcb.cpu_cycles += clock.cycles - started
+        return op
+
+    def _resume_ended(
+        self, tcb: Tcb, frame: Frame, exc: BaseException, started: int
+    ) -> None:
+        """Classify a resume of ``frame`` that raised ``exc``.
+
+        A return pops the frame, a SimException unwinds into the
+        caller, and anything else crashes the program.
+        """
+        if isinstance(exc, StopIteration):
+            self._frame_returned(tcb, frame, exc.value)
+        elif isinstance(exc, SimException):
+            self._frame_raised(tcb, frame, exc)
+        elif isinstance(exc, ProgramCrash):
+            raise exc
+        else:
+            raise ProgramCrash(frame.name, exc) from exc
+        tcb.cpu_cycles += self.world.clock.cycles - started
 
     def _do_work(self, tcb: Tcb, frame: Frame) -> None:
         """Burn a compute burst, splitting it at asynchronous events."""

@@ -9,7 +9,7 @@ threads go to the head (they did not choose to stop running).
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING
 
 from repro.core.queues import ReadyQueue
 from repro.core.tcb import Tcb, ThreadState
@@ -56,11 +56,6 @@ class Scheduler:
     def take(self, tcb: Tcb) -> bool:
         """Remove a specific thread from the ready queue."""
         return self.ready.remove(tcb)
-
-    def pop_next(self) -> Optional[Tcb]:
-        """Dequeue the highest-priority ready thread."""
-        self._runtime.world.spend(costs.READY_DEQUEUE, fire=False)
-        return self.ready.dequeue()
 
     # -- displacing the running thread ---------------------------------------------
 

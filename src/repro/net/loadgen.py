@@ -140,10 +140,6 @@ class LoadGenerator:
         return self._engine.completed
 
     @property
-    def active_clients(self) -> int:
-        return self._engine.active
-
-    @property
     def peak_concurrent_clients(self) -> int:
         """High-water mark of clients admitted and not yet closed."""
         return self._engine.peak_active

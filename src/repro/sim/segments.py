@@ -13,10 +13,10 @@ interpreter loop.
 Correctness model
 -----------------
 
-A segment is recorded by interpreting ops normally (through the exact
-same runtime entry points the plain executor uses) while a *certifier*
-checks, after each op, that the op's entire observable effect is
-captured by a closed-form template:
+A segment is recorded by interpreting ops through the executor's own
+step (``PthreadsRuntime._interpret``) while a *certifier* checks, after
+each op, that the op's entire observable effect is captured by a
+closed-form template:
 
 - the op object is the canonical cached instance (so replay can match
   it with a single ``is``);
@@ -66,8 +66,7 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from repro.core import config as cfg
 from repro.hw import costs
-from repro.sim.frames import ProgramCrash, SimException
-from repro.sim.ops import Invoke, LibCall, SysCall, Work
+from repro.sim.ops import LibCall, Work
 
 #: Location state after a failed recording: never replayed or recorded.
 _BLACKLISTED = object()
@@ -254,36 +253,26 @@ class SegmentSpace:
         if total:
             self.hits += 1
             self.steps_replayed += total
-        if not code:
-            if op is None:
-                frame.pending_value = val
-                return bool(total)
-            # The loop left through an op it does not cover: interpret
-            # that op here (the send already happened).
-            self.misses += 1
-            rt._dispatch_op(tcb, frame, op)
+        if code:
+            # A resume raised: that step ends as an interpreted one would.
+            rt.steps += 1
+            rt._resume_ended(tcb, frame, val, clock.cycles)
             return True
-        # Terminal resume outcomes: mirror _step_current exactly.
-        rt.steps += 1
-        started = clock.cycles
-        if code == 2:
-            rt._frame_returned(tcb, frame, val)
-            tcb.cpu_cycles += clock.cycles - started
-            return True
-        if code == 3:
-            rt._frame_raised(tcb, frame, val)
-            tcb.cpu_cycles += clock.cycles - started
-            return True
-        if code == 4:
-            raise val
-        raise ProgramCrash(frame.name, val) from val
+        if op is None:
+            frame.pending_value = val
+            return bool(total)
+        # The loop left through an op it does not cover: interpret
+        # that op here (the send already happened).
+        self.misses += 1
+        rt._interpret(tcb, frame, op)
+        return True
 
     # -- recording ---------------------------------------------------------
 
     def _record(self, tcb, frame, table, lasti) -> bool:
-        """Interpret ops (through the normal runtime entry points),
-        certifying each; compile the certified run if it closes into a
-        loop, else blacklist the location.
+        """Interpret ops (through the executor's own step), certifying
+        each; compile the certified run if it closes into a loop, else
+        blacklist the location.
 
         The steps are *performed* regardless of whether certification
         succeeds, so this is always a complete executor step (or
@@ -303,40 +292,9 @@ class SegmentSpace:
             pre_live = events._live
             pre_enters = kern.enters
             pre_dispatch = rt.dispatcher.dispatch_calls
-            rt.steps += 1
-            try:
-                value = frame.pending_value
-                frame.pending_value = None
-                op = frame.gen.send(value)
-            except StopIteration as stop:
-                rt._frame_returned(tcb, frame, stop.value)
-                tcb.cpu_cycles += clock.cycles - pre_clock
-                break
-            except SimException as exc:
-                rt._frame_raised(tcb, frame, exc)
-                tcb.cpu_cycles += clock.cycles - pre_clock
-                break
-            except ProgramCrash:
-                raise
-            except BaseException as crash:  # noqa: BLE001
-                raise ProgramCrash(frame.name, crash) from crash
-            op_class = op.__class__
-            if op_class is Work:
-                frame.remaining_work = op.cycles
-                rt._do_work(tcb, frame)
-            elif op_class is LibCall:
-                rt._libcall(tcb, frame, op)
-                tcb.cpu_cycles += clock.cycles - pre_clock
-            elif op_class is SysCall:
-                rt._unix_syscall(tcb, frame, op)
-                tcb.cpu_cycles += clock.cycles - pre_clock
-            elif op_class is Invoke:
-                rt._push_invoke(tcb, op)
-                tcb.cpu_cycles += clock.cycles - pre_clock
-            else:
-                raise ProgramCrash(
-                    frame.name, TypeError("bad op yielded: %r" % (op,))
-                )
+            op = rt._interpret(tcb, frame)
+            if op is None:
+                break  # the body returned or raised
             if (
                 rt.current is not tcb
                 or not frames
@@ -637,16 +595,13 @@ class SegmentSpace:
             p = prefix_cycles[i]
             return "t + %d" % p if p else "t"
 
-        def classify(indent: int, i: int) -> None:
+        def raised(indent: int, i: int) -> None:
+            # The runtime classifies the exception (_resume_ended).
             fixup(indent, i)
-            n_s, t_s = n_expr(i), t_expr(i)
-            emit(indent, "if isinstance(exc, StopIteration):")
-            emit(indent + 1, "return (2, %s, %s, exc.value, None)" % (n_s, t_s))
-            emit(indent, "if isinstance(exc, SimException):")
-            emit(indent + 1, "return (3, %s, %s, exc, None)" % (n_s, t_s))
-            emit(indent, "if isinstance(exc, ProgramCrash):")
-            emit(indent + 1, "return (4, %s, %s, exc, None)" % (n_s, t_s))
-            emit(indent, "return (5, %s, %s, exc, None)" % (n_s, t_s))
+            emit(
+                indent,
+                "return (1, %s, %s, exc, None)" % (n_expr(i), t_expr(i)),
+            )
 
         def op_block(indent: int, i: int) -> None:
             # The generator body runs inside each send and may read
@@ -659,14 +614,14 @@ class SegmentSpace:
                 emit(indent + 1, "try:")
                 emit(indent + 2, "op = send(value)")
                 emit(indent + 1, "except BaseException as exc:")
-                classify(indent + 2, 0)
+                raised(indent + 2, 0)
             else:
                 p = prefix_cycles[i]
                 emit(indent, "ck.cycles = t + %d" % p if p else "ck.cycles = t")
                 emit(indent, "try:")
                 emit(indent + 1, "op = send(%s)" % lit[steps[i - 1].result])
                 emit(indent, "except BaseException as exc:")
-                classify(indent + 1, i)
+                raised(indent + 1, i)
             emit(indent, "if op is not %s:" % op_refs[i])
             fixup(indent + 1, i)
             emit(
@@ -719,10 +674,7 @@ class SegmentSpace:
         emit(1, "return _replay")
 
         code = "\n".join("    " * ind + text for ind, text in out) + "\n"
-        namespace = {
-            "SimException": SimException,
-            "ProgramCrash": ProgramCrash,
-        }
+        namespace: Dict[str, Any] = {}
         # The generated source depends only on segment *structure*
         # (op kinds, costs, guard constants) -- captured objects enter
         # through the _make(env) closure.  Identical workloads therefore

@@ -200,12 +200,7 @@ class NetStack:
     Parameters
     ----------
     latency_us:
-        One-way link latency (mean when ``deterministic=False``).
-    bandwidth_bytes_per_us:
-        Link bandwidth; 0 means infinite (latency only).
-    deterministic:
-        Fixed latency vs. exponential with that mean (drawn from the
-        world RNG, so runs stay reproducible).
+        Fixed one-way link latency; bandwidth is infinite.
     channel:
         Optional :class:`~repro.unix.firstclass.FirstClassInterface`;
         when set, completions bypass SIGIO entirely.
@@ -217,8 +212,6 @@ class NetStack:
         kernel: UnixKernel,
         proc: Any,
         latency_us: float = 150.0,
-        bandwidth_bytes_per_us: float = 0.0,
-        deterministic: bool = True,
         rx_capacity: int = 65536,
         channel: Any = None,
     ) -> None:
@@ -227,9 +220,9 @@ class NetStack:
         self._world = world
         self._kernel = kernel
         self._proc = proc
-        self.latency_us = latency_us
-        self.bandwidth_bytes_per_us = bandwidth_bytes_per_us
-        self.deterministic = deterministic
+        #: Every link event (establish, message, EOF) lands this many
+        #: cycles after its cause.
+        self._link_cycles = max(world.cycles_for_us(latency_us), 1)
         self.rx_capacity = rx_capacity
         self.channel = channel
         self._req_ids = itertools.count(1)
@@ -308,7 +301,7 @@ class NetStack:
         self._pair(sock, server_side, port)
         sock.state = "connecting"
         self._world.schedule_in(
-            self._link_delay(0),
+            self._link_cycles,
             lambda: self._establish(listener, server_side, sock),
             name="net-establish#%d" % server_side.sid,
         )
@@ -590,7 +583,7 @@ class NetStack:
         self._pair(client, server_side, port)
         client.state = "connecting"
         self._world.schedule_in(
-            self._link_delay(0),
+            self._link_cycles,
             lambda: self._establish(listener, server_side, client),
             name="net-establish#%d" % server_side.sid,
         )
@@ -623,14 +616,6 @@ class NetStack:
         if listener.state != "listening":
             return False
         return len(listener.accept_queue) + listener.claims < listener.backlog
-
-    def _link_delay(self, nbytes: int) -> int:
-        delay_us = self.latency_us
-        if not self.deterministic:
-            delay_us = self._world.rng.expovariate(self.latency_us)
-        if self.bandwidth_bytes_per_us > 0 and nbytes:
-            delay_us += nbytes / self.bandwidth_bytes_per_us
-        return max(self._world.cycles_for_us(delay_us), 1)
 
     def _establish(self, listener: Socket, server_side: Socket,
                    client: Socket) -> None:
@@ -688,7 +673,7 @@ class NetStack:
         msg = Message(nbytes=nbytes, meta=dict(meta or {}),
                       sent_at=self._world.now)
         self._world.schedule_in(
-            self._link_delay(nbytes),
+            self._link_cycles,
             lambda: self._deliver(dst, msg),
             name="net-deliver",
         )
@@ -757,7 +742,7 @@ class NetStack:
         peer = sock.peer
         if peer is not None and peer.state not in ("closed",):
             self._world.schedule_in(
-                self._link_delay(0),
+                self._link_cycles,
                 lambda: self._deliver_eof(peer),
                 name="net-eof#%d" % peer.sid,
             )

@@ -14,6 +14,7 @@ from repro.core.config import PTHREAD_CANCELED
 from repro.core.errors import (
     EBADF,
     ECONNREFUSED,
+    EINVAL,
     ENOTCONN,
     OK,
 )
@@ -377,3 +378,42 @@ def test_select_on_an_empty_set_waits_out_its_timeout():
     assert out["got"] == (OK, [])
     assert out["dt"] >= 100.0
     assert rt.net.select_calls == 1
+
+
+@pytest.mark.parametrize("maxevents", [0, -1])
+def test_epoll_wait_rejects_a_nonpositive_maxevents_before_the_kernel(
+    maxevents,
+):
+    """POSIX: ``maxevents <= 0`` is EINVAL, even with fds ready.  A
+    zero must not read as "nothing ready" and a negative must not
+    slice the ready list; the call charges nothing."""
+    out = {}
+
+    def main(pt):
+        rt = pt.runtime
+        epfd = yield pt.epoll_create()
+        lfds = []
+        for port in (80, 81, 82):
+            lfd = yield from _listening(pt, port=port)
+            yield pt.epoll_ctl(epfd, "add", lfd)
+            rt.net.remote_connect(port)
+            lfds.append(lfd)
+        yield pt.delay_us(200)  # all three connections are queued
+        waits, t0 = rt.net.epoll_waits, rt.world.now
+        out["bad"] = yield pt.epoll_wait(epfd, maxevents=maxevents)
+        out["cycles"] = rt.world.now - t0
+        out["waits"] = rt.net.epoll_waits - waits
+        out["ok"] = yield pt.epoll_wait(epfd, maxevents=3)
+        out["lfds"] = lfds
+        for fd in lfds + [epfd]:
+            yield pt.close(fd)
+
+    rt = make_runtime()
+    rt.add_net_stack(latency_us=40.0)
+    rt.main(main, priority=100)
+    rt.run()
+    assert out["bad"] == (EINVAL, [])
+    assert out["waits"] == 0
+    assert out["cycles"] == 0
+    err, ready = out["ok"]
+    assert err == OK and sorted(ready) == out["lfds"]

@@ -19,6 +19,10 @@ two deterministic regression tests pin down specific historical bugs:
   the exact interpreted cycle (replay refuses windows that reach the
   event horizon and falls back to interpretation).
 
+Two more pin the replay exits that end a body: a ``SimException`` its
+caller catches, and a foreign exception that crashes the program, both
+raised by a resume inside a compiled loop.
+
 The never-negative tests pin the cost side: a workload whose hot loops
 compile records each of them once, and a location that cannot compile
 is recorded once and then left to the interpreter.
@@ -27,7 +31,9 @@ is recorded once and then left to the interpreter.
 from __future__ import annotations
 
 import functools
+import sys
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.bench.workloads import (
@@ -38,6 +44,8 @@ from repro.bench.workloads import (
 )
 from repro.core.attr import ThreadAttr
 from repro.core.config import RuntimeConfig
+from repro.core.runtime import PthreadsRuntime
+from repro.sim.frames import ProgramCrash, SimException
 from repro.sim.segments import _BLACKLISTED
 from tests.conftest import make_runtime
 
@@ -295,3 +303,104 @@ def test_signal_into_hot_loop_is_exact():
     assert on._segments.steps_replayed > 0
     assert log_on == log_off
     assert _fingerprint(on) == _fingerprint(off)
+
+
+class _Boom(SimException):
+    pass
+
+
+def _raising_loop(exc_type, after, log, at=300):
+    """A called frame runs a lock/work/unlock/work loop that compiles,
+    then, once hot, raises ``exc_type`` right after its ``after`` op
+    ("burn": mutex held, "unlock": mutex free).  A catching caller logs
+    the mutex state the exit left behind."""
+
+    def body(pt, m):
+        lock = pt.mutex_lock(m)
+        unlock = pt.mutex_unlock(m)
+        burn = pt.work(100)
+        for i in range(1000):
+            yield lock
+            yield burn
+            if i == at and after == "burn":
+                raise exc_type("raised by a replayed resume")
+            yield unlock
+            if i == at and after == "unlock":
+                raise exc_type("raised by a replayed resume")
+            yield burn
+
+    def main(pt):
+        m = yield pt.mutex_init()
+        try:
+            yield pt.call(body, m)
+        except _Boom:
+            tcb = pt.runtime.current
+            log.append((
+                m.owner is tcb,
+                m.cell.value,
+                m.acquisitions,
+                m.lock_sequence.runs,
+                len(tcb.held_mutexes),
+            ))
+            if m.owner is tcb:
+                log.append((yield pt.mutex_unlock(m)))
+        yield pt.work(50)
+
+    return main
+
+
+def _resume_exits(monkeypatch):
+    """Log (exception type, caller) for every resume that raised."""
+    exits = []
+    original = PthreadsRuntime._resume_ended
+
+    def spy(self, tcb, frame, exc, started):
+        exits.append((type(exc), sys._getframe(1).f_code.co_name))
+        return original(self, tcb, frame, exc, started)
+
+    monkeypatch.setattr(PthreadsRuntime, "_resume_ended", spy)
+    return exits
+
+
+@pytest.mark.parametrize("after", ["burn", "unlock"])
+def test_sim_exception_raised_inside_replay_is_exact(monkeypatch, after):
+    """The body's SimException leaves replay mid-iteration and unwinds
+    into the catching caller exactly as interpretation does, with the
+    mutex state of the ops completed before it."""
+    exits = _resume_exits(monkeypatch)
+    logs: list = []
+
+    def make():
+        logs.append([])
+        return _raising_loop(_Boom, after, logs[-1])
+
+    on = assert_equivalent(make)
+    assert on._segments.hits > 0
+    assert (_Boom, "_replay") in exits
+    assert (_Boom, "_interpret") in exits  # the segments=False run
+    assert logs[0] == logs[1] and logs[0]
+
+
+def test_foreign_exception_inside_replay_crashes_alike(monkeypatch):
+    """A plain ValueError raised by a replayed resume crashes the
+    program with the same ProgramCrash, step count and clock as
+    interpretation."""
+    exits = _resume_exits(monkeypatch)
+    crashes = {}
+    for segments in (True, False):
+        rt = make_runtime(seed=0, timeslice_us=None, segments=segments)
+        rt.main(_raising_loop(ValueError, "burn", []), priority=64)
+        with pytest.raises(ProgramCrash) as info:
+            rt.run(max_steps=5_000_000)
+        crash = info.value
+        crashes[segments] = (
+            crash.frame_name,
+            type(crash.original),
+            rt.steps,
+            rt.world.clock.cycles,
+        )
+        if segments:
+            assert rt._segments.hits > 0
+    assert crashes[True] == crashes[False]
+    assert crashes[True][:2] == ("body", ValueError)
+    assert (ValueError, "_replay") in exits
